@@ -41,13 +41,16 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     be safe to call concurrently from several domains.  Raises {!Nested}
     when invoked with [jobs >= 2] from inside a pool task.
 
-    The fan-out is clamped to [Domain.recommended_domain_count ()]:
-    domains beyond the physical cores never run concurrently and only
-    add stop-the-world GC synchronization stalls.  [jobs >= 2] keeps its
-    worker-context semantics ({!in_worker}, {!Nested}) even when the
-    clamp collapses the execution to the calling domain, so program
-    behaviour — including byte-identical results — does not depend on
-    the machine's core count. *)
+    Every [jobs] value runs through one runner: the calling domain plus
+    [min jobs cores - 1] spawned domains pull chunks of tasks, and
+    nothing is spawned at fan-out 1.  Domains beyond the physical cores
+    ([Domain.recommended_domain_count ()]) never run concurrently and
+    only add stop-the-world GC synchronization stalls, hence the clamp.
+    [jobs >= 2] keeps its worker-context semantics ({!in_worker},
+    {!Nested}) whatever the clamp leaves, and whenever a trace is live
+    every task is captured from a fresh span scope and flushed in
+    task-index order, so program behaviour — results and trace bytes —
+    does not depend on [jobs] or on the machine's core count. *)
 
 val parallel_init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init ~jobs n f] is [Array.init n f], parallelized as in

@@ -45,27 +45,33 @@ let test_exception_propagates () =
            (fun i -> if i = 2 then failwith "task boom" else i)
            (Array.init 4 Fun.id)))
 
+(* Tasks run on several domains at once, and Alcotest's check output
+   goes through one shared formatter: each task only records what it
+   observed, and every assertion runs on the calling domain after the
+   join. *)
 let test_nested_rejected () =
   (* Spawning a pool from inside a pool task must raise Nested... *)
-  let verdicts =
+  let observed =
     Pool.parallel_map ~jobs:2
       (fun _ ->
-        check_true "task runs on a worker" (Pool.in_worker ());
+        let on_worker = Pool.in_worker () in
         match Pool.parallel_map ~jobs:2 Fun.id [| 1; 2; 3 |] with
-        | _ -> false
-        | exception Pool.Nested -> true)
+        | _ -> (on_worker, false)
+        | exception Pool.Nested -> (on_worker, true))
       (Array.init 8 Fun.id)
   in
   Array.iteri
-    (fun i ok -> check_true (Printf.sprintf "task %d saw Nested" i) ok)
-    verdicts;
+    (fun i (on_worker, saw_nested) ->
+      check_true "task runs on a worker" on_worker;
+      check_true (Printf.sprintf "task %d saw Nested" i) saw_nested)
+    observed;
   check_true "flag cleared after the pool drains" (not (Pool.in_worker ()))
 
 let test_nested_sequential_allowed () =
   (* ... but sequential execution (effective_jobs collapses to 1 inside
      a worker) composes fine — this is how run_all over experiments that
      themselves sweep in parallel stays safe. *)
-  let sums =
+  let observed =
     Pool.parallel_map ~jobs:2
       (fun i ->
         let inner =
@@ -74,13 +80,14 @@ let test_nested_sequential_allowed () =
             (fun j -> (10 * i) + j)
             [| 1; 2; 3 |]
         in
-        Alcotest.(check int) "inner collapses to 1 job" 1 (Pool.effective_jobs ());
-        Array.fold_left ( + ) 0 inner)
+        (Pool.effective_jobs (), Array.fold_left ( + ) 0 inner))
       (Array.init 6 Fun.id)
   in
   Array.iteri
-    (fun i s -> Alcotest.(check int) (Printf.sprintf "sum %d" i) ((30 * i) + 6) s)
-    sums
+    (fun i (inner_jobs, s) ->
+      Alcotest.(check int) "inner collapses to 1 job" 1 inner_jobs;
+      Alcotest.(check int) (Printf.sprintf "sum %d" i) ((30 * i) + 6) s)
+    observed
 
 let test_default_jobs () =
   let saved = Pool.default_jobs () in
