@@ -732,7 +732,7 @@ let service_comparison () =
   in
   let add engine =
     (Admission.handle engine
-       (Protocol.Add { conn = None; time = tick (); size = None }))
+       (Protocol.Add { conn = None; time = tick () }))
       .Admission.line
   in
   let remove engine i =
@@ -742,7 +742,7 @@ let service_comparison () =
   in
   let batch_adds () =
     List.init k (fun _ ->
-        { Protocol.conn = None; time = tick (); size = None })
+        { Protocol.conn = None; time = tick () })
   in
   (* Identity check, once, outside the timing loops: same k adds from
      the same committed state, serially and as one bracket. *)

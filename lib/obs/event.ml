@@ -7,19 +7,7 @@
    machines, and pool schedules (scheduling events excepted; see
    [pool_map]/[pool_chunk], which are off by default). *)
 
-let obj kind fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf "{\"ev\":";
-  Jsonf.add_escaped buf kind;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ',';
-      Jsonf.add_escaped buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf v)
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+let obj kind fields = Jsonf.obj (("ev", Jsonf.string kind) :: fields)
 
 let int_ = string_of_int
 let bool_ = string_of_bool

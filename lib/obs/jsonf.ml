@@ -31,6 +31,19 @@ let string s =
   add_escaped buf s;
   Buffer.contents buf
 
+let obj fields =
+  let buf = Buffer.create 192 in
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_escaped buf k;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf v)
+    fields;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Field scraping                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -16,6 +16,11 @@ val string : string -> string
 val add_escaped : Buffer.t -> string -> unit
 (** {!string}, appended to a buffer. *)
 
+val obj : (string * string) list -> string
+(** [obj [(k1, v1); ...]] is the one-line object [{"k1":v1,...}]: keys
+    are escaped, values are already-rendered JSON fragments, and field
+    order is kept. *)
+
 (** {2 Field scraping}
 
     Minimal field extraction from the flat one-line JSON objects this

@@ -185,9 +185,7 @@ let run ?(query_every = 0) ?(batch = 1) ?send_batch ~seed ~rate ~arrivals
   in
   let arrive t =
     let size = sample_size rng size_dist in
-    let line =
-      Protocol.render (Add { conn = None; time = Some t; size = Some size })
-    in
+    let line = Protocol.render (Add { conn = None; time = Some t }) in
     incr sent;
     note_time t;
     stats := { !stats with arrivals = !stats.arrivals + 1 };

@@ -11,7 +11,7 @@
     in any order after the positional part):
 
     {v
-    add [NAME] [t=TIME] [size=SIZE]     join: NAME picks a specific idle
+    add [NAME] [t=TIME]                 join: NAME picks a specific idle
                                         slot, omitted = first idle slot
     batch                               open a batch bracket: subsequent
                                         adds are buffered and admitted
@@ -31,11 +31,12 @@
 
     [t] is the request's {e logical} arrival time (the churn driver
     stamps its Poisson arrivals); omitted means "immediately after the
-    previous request".  [size] is the flow's document-size demand —
-    recorded for the decision log and used by the churn driver to
-    schedule the departure. *)
+    previous request".  For compatibility [add] also accepts a
+    [size=SIZE] field, checked as a number and then discarded: the
+    engine admits on the network state alone, and the churn driver
+    schedules each departure from the document size it drew itself. *)
 
-type add = { conn : string option; time : float option; size : float option }
+type add = { conn : string option; time : float option }
 (** The payload of one [add] request — also the unit a batch bracket
     accumulates. *)
 

@@ -31,19 +31,7 @@ let recover t =
           Ok true
         | Error e -> Error e))
 
-let json fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Ffc_obs.Jsonf.add_escaped buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf v)
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
+let json = Ffc_obs.Jsonf.obj
 let jstr = Ffc_obs.Jsonf.string
 
 let take_snapshot t ~seq =
@@ -82,9 +70,7 @@ let max_batch = 1024
    a global counter would leak process history into the span stream. *)
 let new_session ?(sid = 0) () = { sid; bracket = None }
 
-let error_reply t msg =
-  let seq = Admission.next_seq t.engine in
-  json [ ("ok", "false"); ("seq", string_of_int seq); ("error", jstr msg) ]
+let error_reply t msg = Admission.error_line ~seq:(Admission.next_seq t.engine) msg
 
 let handle_session_line t s line =
   let trimmed = String.trim line in
@@ -132,9 +118,7 @@ let handle_session_line t s line =
       | None, Protocol.Snapshot -> (
         let seq = Admission.next_seq t.engine in
         match take_snapshot t ~seq with
-        | Error e ->
-          `Replies
-            [ json [ ("ok", "false"); ("seq", string_of_int seq); ("error", jstr e) ] ]
+        | Error e -> `Replies [ Admission.error_line ~seq e ]
         | Ok bytes ->
           `Replies
             [
@@ -176,16 +160,7 @@ let handle_session_line t s line =
            answered at the server level so the admission engine's logical
            clock and decision stream stay untouched. *)
         match Ffc_obs.Ctx.ambient () with
-        | None ->
-          `Replies
-            [
-              json
-                [
-                  ("ok", "false");
-                  ("seq", string_of_int seq);
-                  ("error", jstr "no metrics registry installed");
-                ];
-            ]
+        | None -> `Replies [ Admission.error_line ~seq "no metrics registry installed" ]
         | Some c ->
           let snap = Ffc_obs.Metrics.snapshot (Ffc_obs.Ctx.metrics c) in
           let body =
