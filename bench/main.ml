@@ -83,8 +83,8 @@ let jac_point = Array.make 12 (0.5 /. 12.)
 let bench_jacobian =
   Test.make ~name:"jacobian + eigenvalues (N=12)"
     (Staged.stage (fun () ->
-         let df = Jacobian.of_controller jac_controller ~net:jac_net ~at:jac_point in
-         Eigen.spectral_radius df))
+         let df = Jacobian.of_controller_sparse jac_controller ~net:jac_net ~at:jac_point in
+         Eigen.spectral_radius (Eigen.eigenvalues df)))
 
 let wf_rng = Rng.create 99
 let wf_net = Topologies.random ~rng:wf_rng ~gateways:8 ~connections:24 ~max_path:4 ()
@@ -104,15 +104,16 @@ let bench_desim =
 
 let bench_eigen_dense =
   let m =
-    Mat.init 24 24 (fun i j ->
-        sin (float_of_int ((i * 31) + j)) /. (1. +. float_of_int (abs (i - j))))
+    Mat.Sparse.of_dense
+      (Mat.init 24 24 (fun i j ->
+           sin (float_of_int ((i * 31) + j)) /. (1. +. float_of_int (abs (i - j)))))
   in
   Test.make ~name:"eigenvalues dense 24x24" (Staged.stage (fun () -> Eigen.eigenvalues m))
 
 (* Structure-aware stability kernel at scale: a Fair Share population
    with distinct rates (load = mu/2), where DF is exactly triangular in
-   rate order, so [Eigen.spectral_radius] takes the Theorem-4 diagonal
-   read while [spectral_radius_dense] pays the full QR iteration on the
+   rate order, so [Eigen.eigenvalues] takes the Theorem-4 diagonal read
+   while [Eigen.eigenvalues_dense] pays the full QR iteration on the
    same matrix.  The Jacobian cases measure the pooled
    finite-difference fan-out end to end. *)
 let big_point n =
@@ -124,7 +125,7 @@ let big_controller n =
     ~adjuster:Scenario.standard_adjuster ~n
 
 let big_df n =
-  Jacobian.of_controller (big_controller n) ~net:(Topologies.single ~mu:1. ~n ())
+  Jacobian.of_controller_sparse (big_controller n) ~net:(Topologies.single ~mu:1. ~n ())
     ~at:(big_point n)
 
 let bench_jacobian_at n =
@@ -134,20 +135,20 @@ let bench_jacobian_at n =
   Test.make
     ~name:(Printf.sprintf "jacobian pooled + eigenvalues (N=%d)" n)
     (Staged.stage (fun () ->
-         let df = Jacobian.of_controller c ~net ~at in
-         Eigen.spectral_radius df))
+         let df = Jacobian.of_controller_sparse c ~net ~at in
+         Eigen.spectral_radius (Eigen.eigenvalues df)))
 
 let bench_eigen_fast_at n =
   let df = big_df n in
   Test.make
     ~name:(Printf.sprintf "eigen structure-aware (FS DF, N=%d)" n)
-    (Staged.stage (fun () -> Eigen.spectral_radius df))
+    (Staged.stage (fun () -> Eigen.spectral_radius (Eigen.eigenvalues df)))
 
 let bench_eigen_dense_at n =
-  let df = big_df n in
+  let df = Mat.Sparse.to_dense (big_df n) in
   Test.make
     ~name:(Printf.sprintf "eigen dense QR (FS DF, N=%d)" n)
-    (Staged.stage (fun () -> Eigen.spectral_radius_dense df))
+    (Staged.stage (fun () -> Eigen.spectral_radius (Eigen.eigenvalues_dense df)))
 
 let window_net = Topologies.parking_lot ~hops:2 ~latency:0.2 ()
 
@@ -618,8 +619,10 @@ let sparse_comparison_one ~lots ~hops ~iters =
   let c = big_controller n in
   let at = big_point n in
   let f r = Controller.step c ~net r in
+  (* The dense baseline probes the full pattern, one column per group. *)
+  let full = Sparsity.full n in
   (* Identity checks, once, outside the timing loops. *)
-  let dense_df = Jacobian.numeric f ~at in
+  let dense_df = Mat.Sparse.to_dense (Jacobian.numeric_sparse f ~pattern:full ~at) in
   let sp_df = Jacobian.numeric_sparse f ~pattern ~at in
   let bits = Int64.bits_of_float in
   let build_identical =
@@ -641,8 +644,8 @@ let sparse_comparison_one ~lots ~hops ~iters =
   let upd = Jacobian.update_flow c ~net ~prev:sp_df ~prev_at:at ~at:at' in
   let update_identical = Mat.Sparse.equal upd full' in
   let dense_op () =
-    let df = Jacobian.numeric f ~at in
-    Jacobian.spectral_radius df
+    let df = Jacobian.numeric_sparse f ~pattern:full ~at in
+    Jacobian.spectral_radius_sparse df
   in
   let sparse_op () =
     let s = Jacobian.numeric_sparse f ~pattern ~at in
@@ -828,8 +831,9 @@ let service_comparison () =
   Printf.printf "batch speedup over serial: %.2fx\n" (serial_ns /. batch_ns);
   rows
 
-(* Desim core: the timing-wheel scheduler against the reference binary
-   heap, and whole-engine events/sec at growing flow counts.  The
+(* Desim core: the timing-wheel scheduler against a binary heap
+   ([Event_heap], the wheel's test oracle), and whole-engine events/sec
+   at growing flow counts.  The
    scheduler rows use the classic hold model — N pending timers spread
    uniformly, then a pop/reschedule churn with exponential gaps of mean
    N ticks, which keeps the population spread at ~1 event per tick
@@ -837,8 +841,8 @@ let service_comparison () =
    ticks and measure only the ready heap).  Gaps are drawn outside the
    timed loop so the rows compare scheduler cost, not RNG cost.  The
    netsim rows run the E27 topology (disjoint parking lots, Fair Share)
-   and also check that heap, wheel, and sharded-parallel runs agree bit
-   for bit while being timed. *)
+   and also check that 1-shard and sharded-parallel runs agree bit for
+   bit while being timed. *)
 type sched_row = {
   sd_held : int;  (* pending events during the churn *)
   sd_heap_ns : float;  (* per schedule+pop pair *)
@@ -846,9 +850,9 @@ type sched_row = {
   sd_sched_speedup : float;
 }
 
-let scheduler_churn kind ~held ~ops ~gaps =
+let wheel_churn ~held ~ops ~gaps =
   let open Ffc_desim in
-  let s = Scheduler.create kind in
+  let s = Scheduler.create (Scheduler.Wheel { tick = 1.0 }) in
   let rng = Rng.create 11 in
   for i = 0 to held - 1 do
     Scheduler.schedule s ~time:(Rng.uniform rng *. float_of_int held) ~handler:i
@@ -863,16 +867,32 @@ let scheduler_churn kind ~held ~ops ~gaps =
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops
 
-let scheduler_comparison_one ~held =
+(* The same hold model on [Event_heap], carrying the wheel's coded
+   (handler, a, b) payload. *)
+let heap_churn ~held ~ops ~gaps =
   let open Ffc_desim in
+  let h = Event_heap.create () in
+  let rng = Rng.create 11 in
+  for i = 0 to held - 1 do
+    Event_heap.push h ~time:(Rng.uniform rng *. float_of_int held) (i, i, 0)
+  done;
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to ops - 1 do
+    match Event_heap.pop_min h with
+    | Some (time, _) -> Event_heap.push h ~time:(time +. gaps.(i)) (0, 0, 0)
+    | None -> ()
+  done;
+  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops
+
+let scheduler_comparison_one ~held =
   let ops = 200_000 in
   let rng = Rng.create 13 in
   let gaps =
     Array.init ops (fun _ ->
         Rng.exponential rng ~rate:(1. /. float_of_int held))
   in
-  let heap_ns = scheduler_churn Scheduler.Heap ~held ~ops ~gaps in
-  let wheel_ns = scheduler_churn (Scheduler.Wheel { tick = 1.0 }) ~held ~ops ~gaps in
+  let heap_ns = heap_churn ~held ~ops ~gaps in
+  let wheel_ns = wheel_churn ~held ~ops ~gaps in
   {
     sd_held = held;
     sd_heap_ns = heap_ns;
@@ -883,7 +903,6 @@ let scheduler_comparison_one ~held =
 type desim_row = {
   ds_flows : int;
   ds_events : int;
-  ds_heap_s : float;  (* 1 shard, reference heap *)
   ds_wheel_s : float;  (* 1 shard, timing wheel *)
   ds_par_s : float;  (* sharded over the pool, timing wheel *)
   ds_par_jobs : int;
@@ -903,30 +922,25 @@ let desim_comparison_one ~flows =
         else 0.21 +. (0.03 *. float_of_int (i mod 3)))
   in
   let horizon = Float.max 20. (2e5 /. float_of_int flows) in
-  let run ~scheduler ~shards ~jobs =
-    Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:7 ~scheduler
-      ~shards ~jobs ~horizon ()
+  let run ~shards ~jobs =
+    Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:7 ~shards ~jobs ~horizon ()
   in
   let fingerprint r =
     List.init (Stdlib.min n 64) (fun i ->
         (Netsim.delay_mean r ~conn:i, Netsim.deliveries r ~conn:i))
   in
   let jobs = Stdlib.min 8 (Domain.recommended_domain_count ()) in
-  let heap, t_heap = time (fun () -> run ~scheduler:`Heap ~shards:1 ~jobs:1) in
-  let wheel, t_wheel = time (fun () -> run ~scheduler:`Wheel ~shards:1 ~jobs:1) in
-  let par, t_par = time (fun () -> run ~scheduler:`Wheel ~shards:(4 * jobs) ~jobs) in
+  let wheel, t_wheel = time (fun () -> run ~shards:1 ~jobs:1) in
+  let par, t_par = time (fun () -> run ~shards:(4 * jobs) ~jobs) in
   {
     ds_flows = n;
     ds_events = Netsim.events wheel;
-    ds_heap_s = t_heap;
     ds_wheel_s = t_wheel;
     ds_par_s = t_par;
     ds_par_jobs = jobs;
     ds_events_per_sec = float_of_int (Netsim.events wheel) /. t_wheel;
     ds_identical =
-      fingerprint heap = fingerprint wheel
-      && fingerprint wheel = fingerprint par
-      && Netsim.events heap = Netsim.events par;
+      fingerprint wheel = fingerprint par && Netsim.events wheel = Netsim.events par;
   }
 
 let desim_comparison () =
@@ -953,13 +967,13 @@ let desim_comparison () =
       desim_comparison_one ~flows:100_000;
     ]
   in
-  Printf.printf "\n%8s %9s %9s %9s %9s %6s %12s %10s\n" "flows" "events"
-    "heap s" "wheel s" "par s" "jobs" "events/s" "identical";
-  Printf.printf "%s\n" (String.make 80 '-');
+  Printf.printf "\n%8s %9s %9s %9s %6s %12s %10s\n" "flows" "events"
+    "wheel s" "par s" "jobs" "events/s" "identical";
+  Printf.printf "%s\n" (String.make 70 '-');
   List.iter
     (fun r ->
-      Printf.printf "%8d %9d %9.3f %9.3f %9.3f %6d %12.0f %10s\n" r.ds_flows
-        r.ds_events r.ds_heap_s r.ds_wheel_s r.ds_par_s r.ds_par_jobs
+      Printf.printf "%8d %9d %9.3f %9.3f %6d %12.0f %10s\n" r.ds_flows
+        r.ds_events r.ds_wheel_s r.ds_par_s r.ds_par_jobs
         r.ds_events_per_sec
         (if r.ds_identical then "yes" else "NO"))
     rows;
@@ -1079,11 +1093,10 @@ let write_bench_json ~kernels ~scans ~faults ~obs ~cache ~sparse ~service ~desim
   List.iteri
     (fun i r ->
       out
-        "      {\"flows\": %d, \"events\": %d, \"seconds_heap\": %s, \
-         \"seconds_wheel\": %s, \"seconds_sharded\": %s, \"jobs\": %d, \
-         \"events_per_sec_wheel\": %s, \"identical_output\": %b}%s\n"
-        r.ds_flows r.ds_events (json_float r.ds_heap_s)
-        (json_float r.ds_wheel_s) (json_float r.ds_par_s) r.ds_par_jobs
+        "      {\"flows\": %d, \"events\": %d, \"seconds_wheel\": %s, \
+         \"seconds_sharded\": %s, \"jobs\": %d, \"events_per_sec_wheel\": %s, \
+         \"identical_output\": %b}%s\n"
+        r.ds_flows r.ds_events (json_float r.ds_wheel_s) (json_float r.ds_par_s) r.ds_par_jobs
         (json_float r.ds_events_per_sec) r.ds_identical
         (if i < List.length netsim_rows - 1 then "," else ""))
     netsim_rows;

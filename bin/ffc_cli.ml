@@ -670,15 +670,6 @@ let simulate_cmd =
              worker pool (0 = auto: a few per job). Results and traces are \
              byte-identical at any shard count.")
   in
-  let scheduler_term =
-    Arg.(
-      value
-      & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-      & info [ "scheduler" ] ~docv:"SCHED"
-          ~doc:
-            "Event calendar: the O(1) timing wheel or the reference binary \
-             heap. The choice never affects results.")
-  in
   let buffer_term =
     Arg.(
       value
@@ -688,8 +679,8 @@ let simulate_cmd =
             "Per-gateway buffer limit: arrivals beyond $(docv) packets in \
              system are dropped (default: infinite buffers).")
   in
-  let run net_result rates_spec discipline horizon seed flows shards scheduler
-      buffer_limit jobs trace metrics stride sched det =
+  let run net_result rates_spec discipline horizon seed flows shards buffer_limit jobs
+      trace metrics stride sched det =
     apply_jobs jobs;
     if shards < 0 then exit_err "--shards must be >= 0";
     let net =
@@ -728,8 +719,8 @@ let simulate_cmd =
         ~seeds:[ ("sim", seed) ]
         ~jobs ~trace ~metrics ~stride ~sched ~timing:(not det)
         (fun () ->
-          Ffc_desim.Netsim.run ~net ~rates ~discipline ~seed ~scheduler ~shards
-            ~jobs ?buffer_limit ~horizon ())
+          Ffc_desim.Netsim.run ~net ~rates ~discipline ~seed ~shards ~jobs ?buffer_limit
+            ~horizon ())
     in
     let module N = Ffc_desim.Netsim in
     Printf.printf "horizon %g (10%% warmup), seed %d, %d shards over %d components\n"
@@ -791,7 +782,7 @@ let simulate_cmd =
           pool with byte-identical results at any --shards/--jobs.")
     Term.(
       const run $ topology_term $ rates_term $ discipline_term $ horizon_term
-      $ seed_term $ flows_term $ shards_term $ scheduler_term $ buffer_term
+      $ seed_term $ flows_term $ shards_term $ buffer_term
       $ jobs_term $ trace_term $ metrics_term $ trace_stride_term
       $ trace_sched_term $ trace_det_term)
 

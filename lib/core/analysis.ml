@@ -38,7 +38,8 @@ let evaluate ?tol ?max_steps ?(manifold_dim = 0) ?struct_tol design ~adjusters ~
       end
       else None
     in
-    let df = Jacobian.of_controller controller ~net ~at:steady in
+    let df = Jacobian.of_controller_sparse controller ~net ~at:steady in
+    let ev = Jacobian.eigenvalues_sparse ?struct_tol df in
     {
       design = design.label;
       outcome;
@@ -47,9 +48,8 @@ let evaluate ?tol ?max_steps ?(manifold_dim = 0) ?struct_tol design ~adjusters ~
       jain = Some jain;
       robust;
       unilateral = Some (Jacobian.unilaterally_stable df);
-      systemic =
-        Some (Jacobian.systemically_stable ~ignore_unit:manifold_dim ?struct_tol df);
-      spectral_radius = Some (Jacobian.spectral_radius ?struct_tol df);
+      systemic = Some (Eigen.is_linearly_stable ~ignore_unit:manifold_dim ev);
+      spectral_radius = Some (Eigen.spectral_radius ev);
       df_triangular = Some (Jacobian.triangular_in_rate_order df ~rates:steady);
     }
   | Controller.Cycle _ | Controller.Diverged _ | Controller.No_convergence _ ->

@@ -27,8 +27,3 @@ let add_config k (c : Feedback.config) =
 
 let add_adjusters k adjusters =
   Key.strs k (Array.to_list (Array.map Rate_adjust.name adjusters))
-
-let add_mat k m =
-  Key.int k (Ffc_numerics.Mat.rows m);
-  Key.int k (Ffc_numerics.Mat.cols m);
-  Key.floats k (Ffc_numerics.Mat.to_flat m)

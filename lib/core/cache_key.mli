@@ -18,5 +18,3 @@ val add_config : Ffc_cache.Key.t -> Feedback.config -> unit
 
 val add_adjusters : Ffc_cache.Key.t -> Rate_adjust.t array -> unit
 
-val add_mat : Ffc_cache.Key.t -> Ffc_numerics.Mat.t -> unit
-(** Dimensions plus every element's bit pattern. *)

@@ -15,52 +15,30 @@ let domain_mode mode ~at ~h j =
 
 let step_sizes ~dx at = Array.map (fun x -> dx *. (1. +. Float.abs x)) at
 
-let numeric ?jobs ?(dx = 1e-7) ?(mode = Central) f ~at =
-  let n = Array.length at in
-  let h = step_sizes ~dx at in
-  let col_mode = Array.init n (domain_mode mode ~at ~h) in
-  (* The shared base evaluation f(at) is forced once, before the fan-out,
-     so the per-column closures only read it — no lazy cell is raced
-     between domains. *)
-  let base =
-    if Array.exists (fun m -> m <> Central) col_mode then Some (f at) else None
-  in
-  let column j =
-    let bump delta =
-      let x = Array.copy at in
-      x.(j) <- x.(j) +. delta;
-      f x
-    in
-    let h = h.(j) in
-    match col_mode.(j) with
-    | Central ->
-      let plus = bump h and minus = bump (-.h) in
-      Array.init n (fun i -> (plus.(i) -. minus.(i)) /. (2. *. h))
-    | Forward ->
-      let plus = bump h and base = Option.get base in
-      Array.init n (fun i -> (plus.(i) -. base.(i)) /. h)
-    | Backward ->
-      let minus = bump (-.h) and base = Option.get base in
-      Array.init n (fun i -> (base.(i) -. minus.(i)) /. h)
-  in
-  (* Columns are independent and each is a deterministic function of
-     (f, at, j), so fanning them out over the pool returns bit-identical
-     matrices at every jobs count.  Small systems stay sequential: a
-     domain spawn costs more than a handful of map evaluations. *)
-  let jobs = Stdlib.min (Pool.effective_jobs ?jobs ()) (Stdlib.max 1 (n / 8)) in
-  let cols = Pool.parallel_init ~jobs n column in
-  Mat.init n n (fun i j -> cols.(j).(i))
-
 (* Grouped (Curtis-Powell-Reid) probing: every group bundles columns
    with pairwise-disjoint supports, so one plus/minus probe pair serves
    the whole group — each used component f_i sees exactly one bumped
    coordinate, making the extracted differences bit-for-bit the
-   lone-column ones.  [rows_of_col j] selects which rows of column j to
+   lone-column ones.  A dense pattern is the degenerate case of one
+   column per group.  [rows_of_col j] selects which rows of column j to
    extract (its full support for a fresh build, the churn-affected rows
-   for an incremental update).  Groups are independent, so they fan out
-   over the pool exactly as dense columns do — same bit-identity
-   argument, now clamped on the group count. *)
-let grouped_probes ?jobs ~f ~at ~h ~col_mode ~groups ~rows_of_col ~base () =
+   for an incremental update).
+
+   The base evaluation f(at) is needed only by Forward and Backward
+   columns (requested, or forced by the domain guard), so all-Central
+   schedules skip it: 2 map evaluations per group, nothing more.  When
+   needed it is forced once, before the fan-out, so the per-group
+   closures only read it.  Groups are independent and each is a
+   deterministic function of (f, at, group), so fanning them out over
+   the pool returns bit-identical matrices at every jobs count; small
+   schedules stay sequential, since a domain spawn costs more than a
+   handful of map evaluations. *)
+let grouped_probes ?jobs ~f ~at ~h ~col_mode ~groups ~rows_of_col () =
+  let base =
+    if Array.exists (Array.exists (fun j -> col_mode.(j) <> Central)) groups then
+      Some (f at)
+    else None
+  in
   let group_values g =
     let need_plus = Array.exists (fun j -> col_mode.(j) <> Backward) g in
     let need_minus = Array.exists (fun j -> col_mode.(j) <> Forward) g in
@@ -75,8 +53,8 @@ let grouped_probes ?jobs ~f ~at ~h ~col_mode ~groups ~rows_of_col ~base () =
         g;
       f x
     in
-    let plus = if need_plus then probe true else base in
-    let minus = if need_minus then probe false else base in
+    let plus = if need_plus then probe true else Option.get base in
+    let minus = if need_minus then probe false else Option.get base in
     Array.map
       (fun j ->
         let h = h.(j) in
@@ -84,8 +62,10 @@ let grouped_probes ?jobs ~f ~at ~h ~col_mode ~groups ~rows_of_col ~base () =
         | Central ->
           Array.map (fun i -> (plus.(i) -. minus.(i)) /. (2. *. h)) (rows_of_col j)
         | Forward ->
+          let base = Option.get base in
           Array.map (fun i -> (plus.(i) -. base.(i)) /. h) (rows_of_col j)
         | Backward ->
+          let base = Option.get base in
           Array.map (fun i -> (base.(i) -. minus.(i)) /. h) (rows_of_col j))
       g
   in
@@ -130,11 +110,10 @@ let numeric_sparse ?jobs ?(dx = 1e-7) ?(mode = Central) f ~pattern ~at =
   let row_ptr, col_idx = csr_skeleton supports in
   let h = step_sizes ~dx at in
   let col_mode = Array.init n (domain_mode mode ~at ~h) in
-  let base = f at in
   let gvals =
     grouped_probes ?jobs ~f ~at ~h ~col_mode ~groups:(Sparsity.groups pattern)
       ~rows_of_col:(fun j -> supports.(j))
-      ~base ()
+      ()
   in
   let values = Array.make row_ptr.(n) 0. in
   Array.iteri
@@ -150,34 +129,6 @@ let numeric_sparse ?jobs ?(dx = 1e-7) ?(mode = Central) f ~pattern ~at =
 
 let mode_name = function Central -> "central" | Forward -> "forward" | Backward -> "backward"
 
-(* Past half density the CSR build stores more bookkeeping than it
-   saves and the probe schedule is column-per-column anyway; the dense
-   path is the honest one there. *)
-let pattern_is_sparse p =
-  let n = Sparsity.size p in
-  2 * Sparsity.nnz p <= n * n
-
-let controller_map controller ~net r = Controller.map controller ~net r
-
-(* Structure-aware dense build: probe through the route-incidence
-   pattern when it is genuinely sparse, densify the CSR result.
-   Off-pattern finite differences are exactly +0.0 (the map component
-   f_i reads only rates sharing a gateway with i, so uncoupled probes
-   subtract to zero), and grouped probes are bit-for-bit lone-column
-   ones, so this returns the very matrix the dense path builds —
-   which is what lets both paths share one cache tier below. *)
-let build_controller_df ?jobs ~dx ~mode controller ~net ~at =
-  let p = Sparsity.of_network net in
-  if pattern_is_sparse p then begin
-    Ffc_obs.Ctx.incr_named "jac.build.sparse";
-    Mat.Sparse.to_dense
-      (numeric_sparse ?jobs ~dx ~mode (controller_map controller ~net) ~pattern:p ~at)
-  end
-  else begin
-    Ffc_obs.Ctx.incr_named "jac.build.dense";
-    numeric ?jobs ~dx ~mode (controller_map controller ~net) ~at
-  end
-
 let controller_key ~dx ~mode controller ~net ~at k =
   Ffc_cache.Key.float k dx;
   Ffc_cache.Key.str k (mode_name mode);
@@ -185,27 +136,6 @@ let controller_key ~dx ~mode controller ~net ~at k =
   Cache_key.add_adjusters k (Controller.adjusters controller);
   Cache_key.add_network k net;
   Ffc_cache.Key.floats k at
-
-(* Memoized (tier "jac.of_controller"): DF is a pure function of the
-   controller design, the topology, the linearization point, the step
-   and the mode.  [jobs] only shapes the fan-out — columns are
-   bit-identical at every jobs count (see [numeric]) — so it is
-   deliberately NOT part of the key: that is what makes cached results
-   jobs-invariant.  The grouped sparse build returns the same bits as
-   the dense probing path (see [build_controller_df]), so entries
-   written by either remain valid for both. *)
-let of_controller ?jobs ?(dx = 1e-7) ?(mode = Central) controller ~net ~at =
-  Ffc_obs.Span.with_span "jac.of_controller" @@ fun () ->
-  Ffc_cache.Cache.memo ~tier:"jac.of_controller"
-    ~build:(controller_key ~dx ~mode controller ~net ~at)
-    ~encode:(fun m -> Ffc_cache.Codec.(encode (fun b -> put_floats b (Mat.to_flat m))))
-    ~decode:(fun r ->
-      let flat = Ffc_cache.Codec.get_floats r in
-      let n = Array.length at in
-      if Array.length flat <> n * n then
-        raise (Ffc_cache.Codec.Corrupt "Jacobian: flat size mismatch");
-      Mat.of_flat ~rows:n ~cols:n flat)
-    (fun () -> build_controller_df ?jobs ~dx ~mode controller ~net ~at)
 
 let encode_sparse s =
   Ffc_cache.Codec.(
@@ -232,26 +162,39 @@ let decode_sparse r =
   try Mat.Sparse.create ~rows ~cols ~row_ptr ~col_idx ~values
   with Invalid_argument msg -> raise (Ffc_cache.Codec.Corrupt msg)
 
-(* CSR-valued DF (tier "jac.sparse"), same key fields as the dense
-   tier.  On a dense pattern the column-per-column probe runs and the
-   result is masked onto the pattern — entries the mask drops are
-   exactly +0.0, so nothing is lost. *)
+(* Memoized (tier "jac.sparse"): DF is a pure function of the
+   controller design, the topology, the linearization point, the step
+   and the mode.  [jobs] only shapes the fan-out — groups are
+   bit-identical at every jobs count (see [grouped_probes]) — so it is
+   deliberately NOT part of the key: that is what makes cached results
+   jobs-invariant.  When the span is live it ends with the pattern's
+   shape ([n], [nnz], probe [groups]); the attributes are built only
+   then, so an untraced build pays nothing for them. *)
 let of_controller_sparse ?jobs ?(dx = 1e-7) ?(mode = Central) controller ~net ~at =
-  Ffc_obs.Span.with_span "jac.sparse" @@ fun () ->
-  Ffc_cache.Cache.memo ~tier:"jac.sparse"
-    ~build:(controller_key ~dx ~mode controller ~net ~at)
-    ~encode:encode_sparse ~decode:decode_sparse
-    (fun () ->
+  let span = Ffc_obs.Span.start "jac.sparse" in
+  match
+    Ffc_cache.Cache.memo ~tier:"jac.sparse"
+      ~build:(controller_key ~dx ~mode controller ~net ~at)
+      ~encode:encode_sparse ~decode:decode_sparse
+      (fun () ->
+        numeric_sparse ?jobs ~dx ~mode (Controller.map controller ~net)
+          ~pattern:(Sparsity.of_network net) ~at)
+  with
+  | exception e ->
+    Ffc_obs.Span.finish span;
+    raise e
+  | df ->
+    if Ffc_obs.Span.on span then begin
       let p = Sparsity.of_network net in
-      if pattern_is_sparse p then begin
-        Ffc_obs.Ctx.incr_named "jac.build.sparse";
-        numeric_sparse ?jobs ~dx ~mode (controller_map controller ~net) ~pattern:p ~at
-      end
-      else begin
-        Ffc_obs.Ctx.incr_named "jac.build.dense";
-        Mat.Sparse.of_dense ~pattern:(Sparsity.supports p)
-          (numeric ?jobs ~dx ~mode (controller_map controller ~net) ~at)
-      end)
+      Ffc_obs.Span.finish span
+        ~attrs:
+          [
+            ("n", string_of_int (Sparsity.size p));
+            ("nnz", string_of_int (Sparsity.nnz p));
+            ("groups", string_of_int (Array.length (Sparsity.groups p)));
+          ]
+    end;
+    df
 
 (* Incremental rebuild after flow churn.  With [prev] = DF at
    [prev_at], only entries (i, j) whose row i is structurally coupled
@@ -275,14 +218,15 @@ let update_flow ?jobs ?(dx = 1e-7) ?(mode = Central) controller ~net ~prev ~prev
   if Mat.Sparse.rows prev <> n || Mat.Sparse.cols prev <> n then
     invalid_arg "Jacobian.update_flow: previous Jacobian size mismatch";
   Ffc_obs.Span.with_span "jac.update" @@ fun () ->
+  let p = Sparsity.of_network net in
+  let supports = Sparsity.supports p in
+  (* Checked before the memo lookup, so a cache hit cannot skip it. *)
+  if not (Mat.Sparse.has_pattern prev supports) then
+    invalid_arg "Jacobian.update_flow: previous Jacobian pattern mismatch";
   Ffc_cache.Cache.memo ~tier:"jac.update"
     ~build:(controller_key ~dx ~mode controller ~net ~at)
     ~encode:encode_sparse ~decode:decode_sparse
     (fun () ->
-      let p = Sparsity.of_network net in
-      if Sparsity.nnz p <> Mat.Sparse.nnz prev then
-        invalid_arg "Jacobian.update_flow: previous Jacobian pattern mismatch";
-      let supports = Sparsity.supports p in
       let bits = Int64.bits_of_float in
       let changed = ref [] in
       for j = n - 1 downto 0 do
@@ -322,11 +266,10 @@ let update_flow ?jobs ?(dx = 1e-7) ?(mode = Central) controller ~net ~prev ~prev
         let h = step_sizes ~dx at in
         let col_mode = Array.init n (domain_mode mode ~at ~h) in
         let f = Controller.map_rows controller ~net ~rows in
-        let base = f at in
         let gvals =
           grouped_probes ?jobs ~f ~at ~h ~col_mode ~groups
             ~rows_of_col:(fun j -> rows_of.(j))
-            ~base ()
+            ()
         in
         let out = Mat.Sparse.copy prev in
         Array.iteri
@@ -340,17 +283,9 @@ let update_flow ?jobs ?(dx = 1e-7) ?(mode = Central) controller ~net ~prev ~prev
           groups;
         out)
 
-let unilaterally_stable ?(tol = 1e-9) df =
-  let d = Mat.diagonal df in
-  Array.for_all (fun x -> Float.abs x < 1. -. tol) d
-
-let systemically_stable ?tol ?ignore_unit ?struct_tol df =
-  Eigen.is_linearly_stable ?tol ?ignore_unit ?struct_tol df
-
-(* Cached eigen spectra (tiers "eigen.spectrum"/"eigen.spectrum_sorted"/
-   "eigen.spectrum.sparse"): keyed on the matrix content, so they
-   compose with the cached DF above — a warm run rebuilds neither the
-   columns nor the QR iteration. *)
+(* Cached eigen spectrum (tier "eigen.spectrum.sparse"): keyed on the
+   CSR content, so it composes with the cached DF above — a warm run
+   rebuilds neither the probes nor the QR iteration. *)
 
 let encode_spectrum ev =
   Ffc_cache.Codec.(
@@ -370,19 +305,12 @@ let decode_spectrum r =
       let im = Ffc_cache.Codec.get_float r in
       { Complex.re; im })
 
-let add_struct_tol ~struct_tol k =
-  match struct_tol with
+let spectrum_key ~struct_tol s k =
+  (match struct_tol with
   | None -> Ffc_cache.Key.bool k false
   | Some t ->
     Ffc_cache.Key.bool k true;
-    Ffc_cache.Key.float k t
-
-let spectrum_key ~struct_tol df k =
-  add_struct_tol ~struct_tol k;
-  Cache_key.add_mat k df
-
-let sparse_spectrum_key ~struct_tol s k =
-  add_struct_tol ~struct_tol k;
+    Ffc_cache.Key.float k t);
   let row_ptr, col_idx, values = Mat.Sparse.to_csr s in
   Ffc_cache.Key.int k (Mat.Sparse.rows s);
   Ffc_cache.Key.int k (Mat.Sparse.cols s);
@@ -390,36 +318,20 @@ let sparse_spectrum_key ~struct_tol s k =
   Array.iter (Ffc_cache.Key.int k) col_idx;
   Ffc_cache.Key.floats k values
 
-let eigenvalues ?struct_tol df =
-  Ffc_cache.Cache.memo ~tier:"eigen.spectrum"
-    ~build:(spectrum_key ~struct_tol df)
-    ~encode:encode_spectrum ~decode:decode_spectrum
-    (fun () -> Eigen.eigenvalues ?struct_tol df)
-
-let eigenvalues_sorted ?struct_tol df =
-  Ffc_cache.Cache.memo ~tier:"eigen.spectrum_sorted"
-    ~build:(spectrum_key ~struct_tol df)
-    ~encode:encode_spectrum ~decode:decode_spectrum
-    (fun () -> Eigen.eigenvalues_sorted ?struct_tol df)
-
 let eigenvalues_sparse ?struct_tol s =
   Ffc_cache.Cache.memo ~tier:"eigen.spectrum.sparse"
-    ~build:(sparse_spectrum_key ~struct_tol s)
+    ~build:(spectrum_key ~struct_tol s)
     ~encode:encode_spectrum ~decode:decode_spectrum
-    (fun () -> Eigen.eigenvalues_sparse ?struct_tol s)
-
-let spectral_radius_of ev =
-  Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. ev
-
-(* Same fold Eigen.spectral_radius uses, over the cached spectrum.
-   [struct_tol] is threaded through to the structure detection — it
-   used to be silently dropped here, so a caller asking for a relaxed
-   triangularity tolerance still paid (and keyed) the exact-zero
-   default. *)
-let spectral_radius ?struct_tol df = spectral_radius_of (eigenvalues ?struct_tol df)
+    (fun () -> Eigen.eigenvalues ?struct_tol s)
 
 let spectral_radius_sparse ?struct_tol s =
-  spectral_radius_of (eigenvalues_sparse ?struct_tol s)
+  Eigen.spectral_radius (eigenvalues_sparse ?struct_tol s)
+
+let systemically_stable ?tol ?ignore_unit ?struct_tol df =
+  Eigen.is_linearly_stable ?tol ?ignore_unit (eigenvalues_sparse ?struct_tol df)
+
+let unilaterally_stable ?(tol = 1e-9) df =
+  Array.for_all (fun x -> Float.abs x < 1. -. tol) (Mat.Sparse.diagonal df)
 
 (* Cheap rho(DF) after an incremental update: the structural diagonal
    when the updated CSR is (permuted) triangular — O(nnz); otherwise a
@@ -428,7 +340,7 @@ let spectral_radius_sparse ?struct_tol s =
    Matrices that fail either check fall back to the full (cached)
    spectrum, so the estimate is never silently wrong. *)
 let spectral_radius_incremental ?struct_tol s =
-  match Eigen.structural_eigenvalues_sparse ?tol:struct_tol s with
+  match Eigen.structural_eigenvalues ?tol:struct_tol s with
   | Some d ->
     Ffc_obs.Ctx.incr_named "jac.rho.structural";
     Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. d
@@ -437,21 +349,33 @@ let spectral_radius_incremental ?struct_tol s =
       Ffc_obs.Ctx.incr_named "jac.rho.fallback";
       spectral_radius_sparse ?struct_tol s
     in
-    match Eigen.power_iteration_sparse s with
+    match Eigen.power_iteration s with
     | None -> fallback ()
     | Some (lam, v) -> (
       let rho = Float.abs lam in
-      match Eigen.power_iteration_sparse ~deflate:v s with
+      match Eigen.power_iteration ~deflate:v s with
       | Some (lam2, _) when Float.abs lam2 <= rho *. (1. +. 1e-9) ->
         Ffc_obs.Ctx.incr_named "jac.rho.power";
         rho
       | Some _ | None -> fallback ()))
 
+(* Lower triangular after the simultaneous rate-order permutation:
+   every stored entry above the permuted diagonal is within [tol].
+   Entries off the pattern are exactly 0, so only stored ones need
+   looking at. *)
 let triangular_in_rate_order ?(tol = 1e-6) df ~rates =
   let n = Array.length rates in
-  if Mat.rows df <> n then invalid_arg "Jacobian.triangular_in_rate_order: size mismatch";
+  if Mat.Sparse.rows df <> n || Mat.Sparse.cols df <> n then
+    invalid_arg "Jacobian.triangular_in_rate_order: size mismatch";
   let order = Array.init n Fun.id in
   Array.sort (fun a b -> Float.compare rates.(a) rates.(b)) order;
-  Mat.is_lower_triangular ~tol (Mat.permute_rows_cols df order)
+  let pos = Array.make n 0 in
+  Array.iteri (fun k i -> pos.(i) <- k) order;
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    Mat.Sparse.iter_row df i (fun j v ->
+        if pos.(j) > pos.(i) && Float.abs v > tol then ok := false)
+  done;
+  !ok
 
-let diagonal = Mat.diagonal
+let diagonal = Mat.Sparse.diagonal

@@ -8,35 +8,34 @@
     Fair Share the matrix is triangular once connections are ordered by
     rate, making the two coincide (Theorem 4).
 
+    There is one representation, CSR ({!Ffc_numerics.Mat.Sparse}), and
+    one structure-first path.  DF_ij can be nonzero only when i and j
+    share a gateway ({!Sparsity}), so the DF of the flow-control map is
+    built on that route-incidence pattern: columns with disjoint
+    supports are finite-differenced jointly (grouped Curtis-Powell-Reid
+    probes, bit-for-bit identical to lone-column ones), and a densely
+    coupled topology is simply the full pattern with one column per
+    probe group.  Off-pattern entries are exactly +0.0, so nothing is
+    lost by not storing them.  The spectrum reads the Theorem-4
+    diagonal when the stored entries are (permuted) triangular and runs
+    dense QR otherwise ({!Ffc_numerics.Eigen.eigenvalues}).
+
     Derivatives are numeric.  The MAX/MIN kinks the paper notes make
     one-sided derivatives differ at some steady states; both central and
     one-sided modes are provided.  Every probe direction that would
     evaluate at a negative rate (the map's domain is r ≥ 0) falls back
     to a forward difference — Central and Backward alike.
 
-    Probing is structure-aware: DF_ij can be nonzero only when i and j
-    share a gateway ({!Sparsity}), so columns with disjoint supports are
-    finite-differenced jointly (grouped Curtis-Powell-Reid probes) and
-    the result can be held in CSR form ({!numeric_sparse},
-    {!of_controller_sparse}).  Grouped probes are bit-for-bit identical
-    to lone-column ones, and off-pattern dense entries are exactly +0.0,
-    so the sparse and dense paths build the same matrix.
-
-    Columns (or probe groups) are independent finite differences, so
-    they fan out over {!Ffc_numerics.Pool} ([jobs], default the pool
-    default; forced sequential under an outer pool and for small
-    systems).  The result is bit-identical at every jobs count: the
-    shared base evaluation is forced before the fan-out and each column
-    is a pure function of its index. *)
+    Probe groups are independent finite differences, so they fan out
+    over {!Ffc_numerics.Pool} ([jobs], default the pool default; forced
+    sequential under an outer pool and for small systems).  The result
+    is bit-identical at every jobs count: the shared base evaluation
+    (needed only by Forward/Backward columns) is forced before the
+    fan-out and each group is a pure function of its columns. *)
 
 open Ffc_numerics
 
 type mode = Central | Forward | Backward
-
-val numeric :
-  ?jobs:int -> ?dx:float -> ?mode:mode -> (Vec.t -> Vec.t) -> at:Vec.t -> Mat.t
-(** Jacobian of an arbitrary vector map ([dx] defaults to 1e-7 relative to
-    each coordinate's magnitude). *)
 
 val numeric_sparse :
   ?jobs:int -> ?dx:float -> ?mode:mode -> (Vec.t -> Vec.t) ->
@@ -47,26 +46,21 @@ val numeric_sparse :
     respect the pattern — component i reading a coordinate outside its
     support would silently alias into grouped probes.  For the
     flow-control map with the pattern from
-    {!Sparsity.of_network} this holds by construction, and
-    [Mat.Sparse.to_dense (numeric_sparse f ~pattern ~at)] is bit-for-bit
-    [numeric f ~at]. *)
-
-val of_controller :
-  ?jobs:int -> ?dx:float -> ?mode:mode -> Controller.t ->
-  net:Ffc_topology.Network.t -> at:Vec.t -> Mat.t
-(** DF of the flow-control map at [at].  Probes through the
-    route-incidence pattern when it is genuinely sparse (< half dense),
-    the plain dense path otherwise — both produce the same bits.
-    Memoized through the ambient result cache ({!Ffc_cache.Cache}) when
-    one is installed; [jobs] is excluded from the cache key because
-    columns are bit-identical at every jobs count. *)
+    {!Sparsity.of_network} this holds by construction; {!Sparsity.full}
+    probes an arbitrary map column by column.  [dx] defaults to 1e-7
+    relative to each coordinate's magnitude.  Grouped entries are
+    bit-for-bit the lone-column finite differences. *)
 
 val of_controller_sparse :
   ?jobs:int -> ?dx:float -> ?mode:mode -> Controller.t ->
   net:Ffc_topology.Network.t -> at:Vec.t -> Mat.Sparse.t
-(** CSR-valued DF on the route-incidence pattern (memoized, tier
-    ["jac.sparse"]).  [to_dense] of the result is bit-for-bit
-    {!of_controller}. *)
+(** DF of the flow-control map at [at], probed through the network's
+    route-incidence pattern.  Memoized through the ambient result cache
+    ({!Ffc_cache.Cache}, tier ["jac.sparse"]) when one is installed;
+    [jobs] is excluded from the cache key because groups are
+    bit-identical at every jobs count.  When tracing, the ["jac.sparse"]
+    span ends with the attributes [n], [nnz] and [groups] (probe
+    groups) of the pattern. *)
 
 val update_flow :
   ?jobs:int -> ?dx:float -> ?mode:mode -> Controller.t ->
@@ -81,41 +75,18 @@ val update_flow :
     independent of [prev] — and is memoized on the destination point
     (tier ["jac.update"]).  Cost scales with the churn-affected region:
     on a topology of independent lots, a single join/leave re-probes
-    one lot.  Raises [Invalid_argument] when [prev] does not match the
-    network's pattern. *)
-
-val eigenvalues : ?struct_tol:float -> Mat.t -> Complex.t array
-(** {!Ffc_numerics.Eigen.eigenvalues}, memoized on the matrix content
-    through the ambient result cache.  Composes with the cached DF: a
-    warm run rebuilds neither the finite-difference columns nor the QR
-    iteration. *)
-
-val eigenvalues_sorted : ?struct_tol:float -> Mat.t -> Complex.t array
-(** {!Ffc_numerics.Eigen.eigenvalues_sorted}, memoized likewise. *)
+    one lot.  Raises [Invalid_argument] when [prev] does not store
+    exactly the network's pattern (checked before the cache lookup). *)
 
 val eigenvalues_sparse : ?struct_tol:float -> Mat.Sparse.t -> Complex.t array
-(** {!Ffc_numerics.Eigen.eigenvalues_sparse}, memoized likewise (tier
-    ["eigen.spectrum.sparse"]): the triangular fast path runs on the
-    stored entries without densifying. *)
-
-val unilaterally_stable : ?tol:float -> Mat.t -> bool
-(** |DF_ii| < 1 − [tol] for every i (default [tol] 1e-9). *)
-
-val systemically_stable :
-  ?tol:float -> ?ignore_unit:int -> ?struct_tol:float -> Mat.t -> bool
-(** Spectral radius below 1, optionally discounting [ignore_unit]
-    eigenvalues of modulus ~1 for steady-state manifolds (aggregate
-    feedback has an (N−1)-dimensional manifold at a single gateway).
-    [struct_tol] reaches the structure detection — it used to be
-    dropped here. *)
-
-val spectral_radius : ?struct_tol:float -> Mat.t -> float
-(** Largest eigenvalue modulus over the cached spectrum.  [struct_tol]
-    is threaded through to {!eigenvalues} (it used to be silently
-    dropped). *)
+(** {!Ffc_numerics.Eigen.eigenvalues}, memoized on the matrix content
+    through the ambient result cache (tier ["eigen.spectrum.sparse"]).
+    Composes with the cached DF: a warm run rebuilds neither the probes
+    nor the QR iteration. *)
 
 val spectral_radius_sparse : ?struct_tol:float -> Mat.Sparse.t -> float
-(** {!spectral_radius} over the cached sparse spectrum. *)
+(** Largest eigenvalue modulus over the cached spectrum
+    ({!eigenvalues_sparse}). *)
 
 val spectral_radius_incremental : ?struct_tol:float -> Mat.Sparse.t -> float
 (** Cheap ρ(DF) after {!update_flow}: the structural diagonal when the
@@ -124,10 +95,21 @@ val spectral_radius_incremental : ?struct_tol:float -> Mat.Sparse.t -> float
     to the full cached spectrum when either check fails, so the value
     is never silently wrong. *)
 
-val triangular_in_rate_order : ?tol:float -> Mat.t -> rates:Vec.t -> bool
+val unilaterally_stable : ?tol:float -> Mat.Sparse.t -> bool
+(** |DF_ii| < 1 − [tol] for every i (default [tol] 1e-9). *)
+
+val systemically_stable :
+  ?tol:float -> ?ignore_unit:int -> ?struct_tol:float -> Mat.Sparse.t -> bool
+(** Spectral radius below 1, optionally discounting [ignore_unit]
+    eigenvalues of modulus ~1 for steady-state manifolds (aggregate
+    feedback has an (N−1)-dimensional manifold at a single gateway).
+    Reads the same cached spectrum as {!spectral_radius_sparse}. *)
+
+val triangular_in_rate_order : ?tol:float -> Mat.Sparse.t -> rates:Vec.t -> bool
 (** Whether DF is lower triangular after simultaneously permuting rows and
     columns into increasing-rate order — Theorem 4's structure under Fair
-    Share. [tol] defaults to 1e-6 (numeric differentiation noise). *)
+    Share. [tol] defaults to 1e-6 (numeric differentiation noise).  Ties
+    in [rates] keep [Array.sort]'s order. *)
 
-val diagonal : Mat.t -> Vec.t
+val diagonal : Mat.Sparse.t -> Vec.t
 (** The unilateral responses DF_ii. *)

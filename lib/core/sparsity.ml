@@ -75,6 +75,12 @@ let color ?only_rows ~support cols =
     Array.map Array.of_list out
   end
 
+let singletons n = Array.init n (fun j -> [| j |])
+
+let full n =
+  let all = Array.init n Fun.id in
+  { n; support = Array.make n all; groups = singletons n; nnz = n * n }
+
 let build net =
   Ffc_obs.Span.with_span "sparsity.probe" @@ fun () ->
   let n = Network.num_connections net in
@@ -103,7 +109,7 @@ let build net =
        group anyway (and its bookkeeping towards O(N^3) on fully coupled
        topologies), so take the per-column schedule directly — which is
        exactly the dense probing order, bit for bit. *)
-    if 2 * nnz > n * n then Array.init n (fun j -> [| j |])
+    if 2 * nnz > n * n then singletons n
     else color ~support (Array.init n Fun.id)
   in
   { n; support; groups; nnz }

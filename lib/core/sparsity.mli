@@ -21,6 +21,11 @@ val of_network : Network.t -> t
 (** Pattern and probe schedule for DF of the flow-control map on this
     network. *)
 
+val full : int -> t
+(** The all-coupled pattern on [n] columns with one column per probe
+    group — the dense probing schedule, for probing an arbitrary map
+    with {!Jacobian.numeric_sparse}. *)
+
 val size : t -> int
 (** Number of connections (= rows = columns of DF). *)
 

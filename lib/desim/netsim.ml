@@ -76,8 +76,7 @@ type shard_out = {
       (* per-shard delay tally; flushed into "desim.delay" at the join *)
 }
 
-let run ~net ~rates ~discipline ~seed ?warmup ?(scheduler = `Wheel) ?(shards = 1)
-    ?jobs ?buffer_limit ~horizon () =
+let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit ~horizon () =
   let n_conns = Network.num_connections net in
   let n_gws = Network.num_gateways net in
   if Array.length rates <> n_conns then
@@ -234,14 +233,13 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(scheduler = `Wheel) ?(shards = 1
     let flat = Measure.Flat.create ~paths:p.sp_paths in
     if n_l = 0 then { so_flat = flat; so_events = 0; so_injections = 0; so_hist = None }
     else begin
-      let scheduler_kind =
-        match scheduler with
-        | `Heap -> Scheduler.Heap
-        | `Wheel ->
-          Scheduler.Wheel
-            { tick = Scheduler.auto_tick ~events_per_time:p.sp_events_per_time }
+      let sim =
+        Sim.create
+          ~scheduler:
+            (Scheduler.Wheel
+               { tick = Scheduler.auto_tick ~events_per_time:p.sp_events_per_time })
+          ()
       in
-      let sim = Sim.create ~scheduler:scheduler_kind () in
       let pool = Packet.Pool.create ~initial:1024 () in
       let trc = Ffc_obs.Ctx.tracing () in
       (* Per-shard local tally (Histogram.Local): zero-sync observes in

@@ -41,7 +41,6 @@ val run :
   discipline:discipline ->
   seed:int ->
   ?warmup:float ->
-  ?scheduler:[ `Heap | `Wheel ] ->
   ?shards:int ->
   ?jobs:int ->
   ?buffer_limit:int ->
@@ -51,9 +50,8 @@ val run :
 (** Simulates with per-connection Poisson rates [rates]. Statistics cover
     [(warmup, horizon)]; [warmup] defaults to 10% of the horizon.
 
-    [scheduler] picks the event calendar (default [`Wheel], with a tick
-    auto-sized to the expected event rate); the choice never affects
-    results.  [shards] (default 1; clamped to the component count)
+    Each shard runs on a timing wheel whose tick is auto-sized to the
+    expected event rate.  [shards] (default 1; clamped to the component count)
     splits independent components over up to [jobs] domains — results
     and traces are byte-identical at any [shards]/[jobs].
     [buffer_limit] caps each gateway's system occupancy, arrivals

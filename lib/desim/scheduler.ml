@@ -1,72 +1,16 @@
-type kind = Heap | Wheel of { tick : float }
-
-type t = {
-  k : kind;
-  heap : (int * int * int) Event_heap.t;  (** Used when [k = Heap]. *)
-  wheel : Timing_wheel.t;  (** Used when [k = Wheel _]. *)
-  mutable last_time : float;
-  mutable last_h : int;
-  mutable last_a : int;
-  mutable last_b : int;
-}
+type kind = Wheel of { tick : float }
+type t = Timing_wheel.t
 
 let auto_tick ~events_per_time =
   if (not (Float.is_finite events_per_time)) || events_per_time <= 0. then 1.
   else Float.min 1e6 (Float.max 1e-9 (1. /. events_per_time))
 
-let create k =
-  let tick = match k with Heap -> 1. | Wheel { tick } -> tick in
-  {
-    k;
-    heap = Event_heap.create ();
-    wheel = Timing_wheel.create ~tick ();
-    last_time = 0.;
-    last_h = 0;
-    last_a = 0;
-    last_b = 0;
-  }
-
-let kind t = t.k
-
-let schedule t ~time ~handler ~a ~b =
-  match t.k with
-  | Heap ->
-    if not (Float.is_finite time) || time < 0. then
-      invalid_arg "Scheduler.schedule: time must be finite and non-negative";
-    Event_heap.push t.heap ~time (handler, a, b)
-  | Wheel _ -> Timing_wheel.schedule t.wheel ~time ~handler ~a ~b
-
-let pop t =
-  match t.k with
-  | Heap -> (
-    match Event_heap.pop_min t.heap with
-    | None -> false
-    | Some (time, (h, a, b)) ->
-      t.last_time <- time;
-      t.last_h <- h;
-      t.last_a <- a;
-      t.last_b <- b;
-      true)
-  | Wheel _ ->
-    if Timing_wheel.pop t.wheel then begin
-      t.last_time <- Timing_wheel.popped_time t.wheel;
-      t.last_h <- Timing_wheel.popped_handler t.wheel;
-      t.last_a <- Timing_wheel.popped_a t.wheel;
-      t.last_b <- Timing_wheel.popped_b t.wheel;
-      true
-    end
-    else false
-
-let popped_time t = t.last_time
-let popped_handler t = t.last_h
-let popped_a t = t.last_a
-let popped_b t = t.last_b
-
-let next_time t =
-  match t.k with
-  | Heap -> (
-    match Event_heap.peek_min t.heap with Some (time, _) -> time | None -> Float.infinity)
-  | Wheel _ -> Timing_wheel.next_time t.wheel
-
-let size t =
-  match t.k with Heap -> Event_heap.size t.heap | Wheel _ -> Timing_wheel.size t.wheel
+let create (Wheel { tick }) = Timing_wheel.create ~tick ()
+let schedule = Timing_wheel.schedule
+let pop = Timing_wheel.pop
+let popped_time = Timing_wheel.popped_time
+let popped_handler = Timing_wheel.popped_handler
+let popped_a = Timing_wheel.popped_a
+let popped_b = Timing_wheel.popped_b
+let next_time = Timing_wheel.next_time
+let size = Timing_wheel.size

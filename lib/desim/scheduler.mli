@@ -1,15 +1,13 @@
-(** Pluggable event scheduler: reference binary heap or timing wheel.
+(** The event scheduler: the O(1)-amortized {!Timing_wheel}.
 
-    Both back ends order coded events by [(time, schedule sequence)] —
-    the determinism contract of {!Sim} — so the choice never changes a
-    simulation's results, only its speed.  [Heap] is {!Event_heap}, the
-    original O(log n) scheduler kept as the reference implementation;
-    [Wheel] is the O(1)-amortized {!Timing_wheel}.  Popped fields are
-    read back through accessors instead of a returned tuple so that the
-    hot path allocates nothing. *)
+    Coded events pop in [(time, schedule sequence)] order — the
+    determinism contract of {!Sim}.  The binary {!Event_heap} is the
+    wheel's test oracle: a property test checks that both pop the same
+    order on randomized schedules.  Popped fields are read back through
+    accessors instead of a returned tuple so that the hot path
+    allocates nothing. *)
 
 type kind =
-  | Heap
   | Wheel of { tick : float }
       (** [tick]: level-0 slot width, ideally near the mean event
           spacing; see {!auto_tick}. *)
@@ -17,10 +15,8 @@ type kind =
 type t
 
 val create : kind -> t
-(** Raises [Invalid_argument] for a non-positive or non-finite wheel
+(** Raises [Invalid_argument] for a non-positive or non-finite
     [tick]. *)
-
-val kind : t -> kind
 
 val auto_tick : events_per_time:float -> float
 (** A good wheel tick for a workload expected to execute

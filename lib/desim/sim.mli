@@ -13,9 +13,8 @@
       schedules coded events [(handler, a, b)] — no closure and (with
       the timing-wheel scheduler) no heap node per event.
 
-    The calendar itself is pluggable ({!Scheduler.kind}): the reference
-    binary heap or the O(1)-amortized timing wheel.  Both obey the same
-    ordering contract, so results never depend on the choice. *)
+    The calendar is the O(1)-amortized timing wheel ({!Scheduler});
+    only its tick width is configurable, and it never changes results. *)
 
 type t
 

@@ -21,12 +21,12 @@ let compute ?(eta = 0.1) ?(ns = [ 2; 5; 10; 15; 19; 21; 25; 30 ]) ?jobs () =
       let adjuster = Rate_adjust.additive ~eta ~beta:0.5 in
       let c = Controller.homogeneous ~config:Feedback.aggregate_fifo ~adjuster ~n in
       let fair = Array.make n (0.5 /. float_of_int n) in
-      let df = Jacobian.of_controller c ~net ~at:fair in
+      let df = Jacobian.of_controller_sparse c ~net ~at:fair in
       let measured =
         Array.fold_left
           (fun acc z -> if z.Complex.re < acc then z.Complex.re else acc)
           1.
-          (Jacobian.eigenvalues df)
+          (Jacobian.eigenvalues_sparse df)
       in
       (* Perturb the fair point with a component along the all-ones
          direction — the mode carrying the 1 - eta*N eigenvalue.  (A

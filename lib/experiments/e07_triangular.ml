@@ -40,7 +40,7 @@ let compute ?(trials = 10) ?(seed = 23) ?jobs () =
       let c = Controller.create ~config ~adjusters in
       match Controller.run ~max_steps:40_000 c ~net ~r0 with
       | Controller.Converged { steady; _ } ->
-        let df = Jacobian.of_controller ~mode:Jacobian.Forward c ~net ~at:steady in
+        let df = Jacobian.of_controller_sparse ~mode:Jacobian.Forward c ~net ~at:steady in
         Some (steady, df)
       | _ -> None
     in
@@ -55,7 +55,11 @@ let compute ?(trials = 10) ?(seed = 23) ?jobs () =
              dense QR path is forced here on purpose: the structure-aware
              default would read the diagonal and make this check
              vacuous. *)
-          let ev = Array.map (fun z -> z.Complex.re) (Eigen.eigenvalues_dense df) in
+          let ev =
+            Array.map
+              (fun z -> z.Complex.re)
+              (Eigen.eigenvalues_dense (Mat.Sparse.to_dense df))
+          in
           let dg = Jacobian.diagonal df in
           Array.sort Float.compare ev;
           Array.sort Float.compare dg;

@@ -31,8 +31,8 @@ let compute ?(etas = [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.6 ]) ?(n = 4) ?jobs () =
       (* Spectral radius at the fair point (discounting manifold
          modes for aggregate feedback). *)
       let fair = Array.make n (0.5 /. float_of_int n) in
-      let df = Jacobian.of_controller controller ~net ~at:fair in
-      let ev = Jacobian.eigenvalues_sorted df in
+      let df = Jacobian.of_controller_sparse controller ~net ~at:fair in
+      let ev = Eigen.sort_by_modulus (Jacobian.eigenvalues_sparse df) in
       let spectral_radius =
         (* Skip [manifold] eigenvalues of modulus ~1. *)
         if manifold < Array.length ev then Complex.norm ev.(manifold) else 0.

@@ -52,7 +52,8 @@ let compute ?(seed = 99) ?(sizes = [ (4, 8); (8, 20); (16, 48); (24, 80); (48, 1
            here, under the outer sweep) and the eigensolve takes the
            Theorem-4 diagonal read whenever the triangular structure is
            detected, falling back to dense QR otherwise. *)
-        let df = Jacobian.of_controller controller ~net ~at:steady in
+        let df = Jacobian.of_controller_sparse controller ~net ~at:steady in
+        let ev = Jacobian.eigenvalues_sparse df in
         {
           gateways;
           connections;
@@ -61,8 +62,8 @@ let compute ?(seed = 99) ?(sizes = [ (4, 8); (8, 20); (16, 48); (24, 80); (48, 1
             Fairness.is_fair ~tol:1e-4 Feedback.individual_fair_share ~net
               ~rates:steady;
           matched_prediction = Vec.approx_equal ~tol:1e-4 steady predicted;
-          systemic = Jacobian.systemically_stable df;
-          rho = Jacobian.spectral_radius df;
+          systemic = Eigen.is_linearly_stable ev;
+          rho = Eigen.spectral_radius ev;
           steps;
           wall_seconds;
         }

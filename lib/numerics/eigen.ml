@@ -8,11 +8,12 @@
    variable already confined to [0, n), so the checks would only cost.
    The checked [Mat] API stays at the entry points.
 
-   On top of the dense path sits a structure-aware layer: a matrix that
-   is triangular — or triangular after a simultaneous row/column
-   permutation, the shape Theorem 4 gives Fair Share stability matrices
-   in rate order — has its eigenvalues on its diagonal, read in O(N^2)
-   detection time instead of the O(N^3) QR iteration. *)
+   On top of the dense kernel sits the structure-first CSR layer: a
+   matrix that is triangular — or triangular after a simultaneous
+   row/column permutation, the shape Theorem 4 gives Fair Share
+   stability matrices in rate order — has its eigenvalues on its
+   diagonal, found by walking the stored entries instead of running the
+   O(N^3) QR iteration. *)
 
 let eps = 1e-13
 
@@ -306,137 +307,23 @@ let eigenvalues_dense m =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Structure detection (Theorem 4 fast path)                           *)
+(* Structure-first CSR layer (Theorem 4 fast path)                     *)
 (* ------------------------------------------------------------------ *)
 
-(* An ordering v of the indices such that m.(v_i).(v_j) is (within
+(* An ordering v of the indices such that s.(v_i).(v_j) is (within
    [tol]) zero for all j > i — i.e. the matrix is lower triangular after
    simultaneously permuting rows and columns by v.  Greedy topological
    sort of the off-diagonal dependency relation: repeatedly pick the
    smallest remaining row whose above-[tol] off-diagonal entries all sit
-   in already-picked columns.  Each pick scans O(N), so detection —
-   success or failure — is O(N^2).  Covers lower triangular (identity
-   order), upper triangular (reversal), and any simultaneous permutation
-   of either, such as Fair Share Jacobians in rate order. *)
-let triangular_order ?(tol = 0.) m =
-  if Mat.rows m <> Mat.cols m then invalid_arg "Eigen.triangular_order: not square";
-  let n = Mat.rows m in
-  let nonzero i j = Float.abs (Mat.unsafe_get m i j) > tol in
-  (* pending.(i): off-diagonal entries of row i in not-yet-picked columns. *)
-  let pending = Array.make n 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if j <> i && nonzero i j then pending.(i) <- pending.(i) + 1
-    done
-  done;
-  let picked = Array.make n false in
-  let order = Array.make n 0 in
-  let ok = ref true in
-  (try
-     for pos = 0 to n - 1 do
-       let next = ref (-1) in
-       for i = n - 1 downto 0 do
-         if (not picked.(i)) && pending.(i) = 0 then next := i
-       done;
-       if !next < 0 then begin
-         ok := false;
-         raise Exit
-       end;
-       let i = !next in
-       picked.(i) <- true;
-       order.(pos) <- i;
-       for k = 0 to n - 1 do
-         if (not picked.(k)) && nonzero k i then pending.(k) <- pending.(k) - 1
-       done
-     done
-   with Exit -> ());
-  if !ok then Some order else None
-
-let structural_eigenvalues ?tol m =
-  if Mat.rows m <> Mat.cols m then None
-  else
-    match triangular_order ?tol m with
-    | None -> None
-    | Some _ ->
-      (* A simultaneous permutation is a similarity and preserves the
-         diagonal as a set, so the eigenvalues are the diagonal entries
-         in any order. *)
-      Some (Mat.diagonal m)
-
-let eigenvalues ?struct_tol m =
-  Ffc_obs.Span.with_span "eigen.spectrum" @@ fun () ->
-  match structural_eigenvalues ?tol:struct_tol m with
-  | Some d -> Array.map (fun re -> { Complex.re; im = 0. }) d
-  | None -> eigenvalues_dense m
-
-let sort_by_modulus ev =
-  Array.sort
-    (fun a b ->
-      let c = Float.compare (Complex.norm b) (Complex.norm a) in
-      if c <> 0 then c else Float.compare b.Complex.re a.Complex.re)
-    ev;
-  ev
-
-let eigenvalues_sorted ?struct_tol m = sort_by_modulus (eigenvalues ?struct_tol m)
-
-let spectral_radius_of ev =
-  Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. ev
-
-let spectral_radius ?struct_tol m = spectral_radius_of (eigenvalues ?struct_tol m)
-let spectral_radius_dense m = spectral_radius_of (eigenvalues_dense m)
-
-let is_linearly_stable ?(tol = 1e-9) ?(ignore_unit = 0) ?struct_tol m =
-  let ev = eigenvalues_sorted ?struct_tol m in
-  let n = Array.length ev in
-  if ignore_unit >= n then true
-  else Complex.norm ev.(ignore_unit) < 1. -. tol
-
-let power_iteration ?(max_iter = 10_000) ?(tol = 1e-12) m =
-  if Mat.rows m <> Mat.cols m then invalid_arg "Eigen.power_iteration: not square";
-  let n = Mat.rows m in
-  if n = 0 then None
-  else begin
-    (* A fixed, slightly asymmetric start vector avoids starting orthogonal
-       to the dominant eigenvector for the structured matrices tested. *)
-    let v = ref (Array.init n (fun i -> 1. +. (0.01 *. float_of_int i))) in
-    let lambda = ref 0. in
-    let converged = ref false in
-    let iter = ref 0 in
-    while (not !converged) && !iter < max_iter do
-      incr iter;
-      let w = Mat.mul_vec m !v in
-      let norm = Vec.norm2 w in
-      if norm < 1e-300 then begin
-        lambda := 0.;
-        converged := true
-      end
-      else begin
-        let w = Vec.scale (1. /. norm) w in
-        let next = Vec.dot w (Mat.mul_vec m w) in
-        if Float.abs (next -. !lambda) <= tol *. (1. +. Float.abs next) then
-          converged := true;
-        lambda := next;
-        v := w
-      end
-    done;
-    if !converged then Some (!lambda, !v) else None
-  end
-
-let triangular_eigenvalues m =
-  if Mat.is_triangular m then Some (Mat.diagonal m) else None
-
-(* ------------------------------------------------------------------ *)
-(* Sparse (CSR) structure layer                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The CSR counterpart of [triangular_order].  Same greedy topological
-   sort, but the dependency counts and their decrements walk only the
-   stored entries, so the graph work is O(nnz); the smallest-ready-row
-   scan keeps the dense picker's O(N) per pick (trivial next to the QR
-   iteration either path avoids). *)
-let triangular_order_sparse ?(tol = 0.) s =
+   in already-picked columns.  The dependency counts and their
+   decrements walk only the stored entries, so the graph work is
+   O(nnz); the smallest-ready-row scan costs O(N) per pick.  Covers
+   lower triangular (identity order), upper triangular (reversal), and
+   any simultaneous permutation of either, such as Fair Share Jacobians
+   in rate order. *)
+let triangular_order ?(tol = 0.) s =
   if Mat.Sparse.rows s <> Mat.Sparse.cols s then
-    invalid_arg "Eigen.triangular_order_sparse: not square";
+    invalid_arg "Eigen.triangular_order: not square";
   let n = Mat.Sparse.rows s in
   let pending = Array.make n 0 in
   (* dependents.(j): rows whose off-diagonal entry in column j is above
@@ -472,29 +359,48 @@ let triangular_order_sparse ?(tol = 0.) s =
    with Exit -> ());
   if !ok then Some order else None
 
-let structural_eigenvalues_sparse ?tol s =
+let structural_eigenvalues ?tol s =
   if Mat.Sparse.rows s <> Mat.Sparse.cols s then None
   else
-    match triangular_order_sparse ?tol s with
+    match triangular_order ?tol s with
     | None -> None
-    | Some _ -> Some (Mat.Sparse.diagonal s)
+    | Some _ ->
+      (* A simultaneous permutation is a similarity and preserves the
+         diagonal as a set, so the eigenvalues are the diagonal entries
+         in any order. *)
+      Some (Mat.Sparse.diagonal s)
 
-let eigenvalues_sparse ?struct_tol s =
+let eigenvalues ?struct_tol s =
   Ffc_obs.Span.with_span "eigen.spectrum.sparse" @@ fun () ->
-  match structural_eigenvalues_sparse ?tol:struct_tol s with
+  match structural_eigenvalues ?tol:struct_tol s with
   | Some d -> Array.map (fun re -> { Complex.re; im = 0. }) d
   | None -> eigenvalues_dense (Mat.Sparse.to_dense s)
 
-let spectral_radius_sparse ?struct_tol s =
-  spectral_radius_of (eigenvalues_sparse ?struct_tol s)
+let sort_by_modulus ev =
+  let ev = Array.copy ev in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare (Complex.norm b) (Complex.norm a) in
+      if c <> 0 then c else Float.compare b.Complex.re a.Complex.re)
+    ev;
+  ev
 
-let power_iteration_sparse ?(max_iter = 10_000) ?(tol = 1e-12) ?deflate s =
+let spectral_radius ev =
+  Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. ev
+
+let is_linearly_stable ?(tol = 1e-9) ?(ignore_unit = 0) ev =
+  let ev = sort_by_modulus ev in
+  let n = Array.length ev in
+  if ignore_unit >= n then true
+  else Complex.norm ev.(ignore_unit) < 1. -. tol
+
+let power_iteration ?(max_iter = 10_000) ?(tol = 1e-12) ?deflate s =
   if Mat.Sparse.rows s <> Mat.Sparse.cols s then
-    invalid_arg "Eigen.power_iteration_sparse: not square";
+    invalid_arg "Eigen.power_iteration: not square";
   let n = Mat.Sparse.rows s in
   (match deflate with
   | Some d when Array.length d <> n ->
-    invalid_arg "Eigen.power_iteration_sparse: deflation vector size mismatch"
+    invalid_arg "Eigen.power_iteration: deflation vector size mismatch"
   | _ -> ());
   if n = 0 then None
   else begin
@@ -514,8 +420,9 @@ let power_iteration_sparse ?(max_iter = 10_000) ?(tol = 1e-12) ?deflate s =
           Array.mapi (fun i wi -> wi -. (c *. d.(i))) w
         end
     in
-    (* Same fixed asymmetric start as the dense iteration, with CSR
-       mat-vec products: each step costs O(nnz) instead of O(N^2). *)
+    (* A fixed, slightly asymmetric start vector avoids starting
+       orthogonal to the dominant eigenvector for the structured
+       matrices tested; each CSR mat-vec step costs O(nnz). *)
     let v = ref (project (Array.init n (fun i -> 1. +. (0.01 *. float_of_int i)))) in
     let lambda = ref 0. in
     let converged = ref false in

@@ -1,117 +1,88 @@
-(** Eigenvalues of small dense real matrices, with a structure-aware
-    fast path.
+(** Eigenvalues of real CSR matrices, structure first.
 
     The stability analysis of the flow-control map (paper §3.3) requires
     all eigenvalues of the Jacobian DF — which is real but generally
-    non-symmetric, so eigenvalues may form complex-conjugate pairs.  The
-    dense path is classical: balancing, reduction to upper Hessenberg
-    form by stabilized elementary transformations, then the implicit
-    double-shift (Francis) QR iteration with deflation — O(N³).
+    non-symmetric, so eigenvalues may form complex-conjugate pairs.
+    Every spectrum comes from one path, {!eigenvalues}, over the one
+    Jacobian representation ({!Mat.Sparse}; a dense matrix is the full
+    pattern):
 
-    Theorem 4 makes the dense path overkill for the matrices this
-    repository cares about most: under Fair Share the Jacobian is
-    triangular once connections are ordered by rate, so its eigenvalues
-    are its diagonal.  {!eigenvalues}, {!spectral_radius} and
-    {!is_linearly_stable} therefore first look for triangular or
-    permuted-triangular structure in O(N²) ({!triangular_order}) and
-    read the diagonal when they find it; [struct_tol] controls how small
-    an entry must be to count as structurally zero (default exactly 0 —
-    finite differencing of a Fair Share map produces exact zeros above
-    the diagonal, so the default is both safe and effective).  The
-    [_dense] entry points always run the QR path.
+    - {b structure first}: under Fair Share the Jacobian is triangular
+      once connections are ordered by rate (Theorem 4), so its
+      eigenvalues are its diagonal.  {!triangular_order} looks for
+      triangular or permuted-triangular structure by walking the stored
+      entries, and {!eigenvalues} reads the diagonal when it finds it;
+      [struct_tol] controls how small an entry must be to count as
+      structurally zero (default exactly 0 — finite differencing of a
+      Fair Share map produces exact zeros above the diagonal, so the
+      default is both safe and effective).
+    - {b dense QR otherwise}: balancing, reduction to upper Hessenberg
+      form by stabilized elementary transformations, then the implicit
+      double-shift (Francis) QR iteration with deflation — O(N³) on
+      [Mat.Sparse.to_dense] of the input.  The kernel is exposed
+      ({!eigenvalues_dense}, {!hessenberg}) as the oracle the structural
+      path is checked against.
 
-    All routines operate on copies and never mutate their input. *)
+    {!spectral_radius} and {!is_linearly_stable} are folds over a
+    spectrum, so a caller holding one (e.g. a cached one) never solves
+    it twice.  All routines operate on copies and never mutate their
+    input. *)
 
 val hessenberg : Mat.t -> Mat.t
 (** [hessenberg m] is an upper-Hessenberg matrix similar to square [m]
     (entries below the first subdiagonal are exactly zero). *)
 
-val triangular_order : ?tol:float -> Mat.t -> int array option
-(** [triangular_order m] is [Some v] when [m] is lower triangular after
-    simultaneously permuting rows and columns by [v] — i.e.
-    [|m.(v_i).(v_j)| <= tol] for all [j > i] (default [tol = 0.], exact
-    zeros).  Covers plain lower triangular (identity order), upper
-    triangular (reversal) and any simultaneous permutation of either,
-    such as Fair Share stability matrices in rate order (Theorem 4).
-    O(N²) whether it succeeds or fails. *)
+val eigenvalues_dense : Mat.t -> Complex.t array
+(** The QR kernel unconditionally — the fallback of {!eigenvalues} and
+    the oracle for cross-checking its structural path.  Raises
+    [Failure] if the QR iteration fails to converge (does not happen for
+    the matrices in this repository) and [Invalid_argument] if the
+    matrix is not square. *)
 
-val structural_eigenvalues : ?tol:float -> Mat.t -> Vec.t option
+val triangular_order : ?tol:float -> Mat.Sparse.t -> int array option
+(** [triangular_order s] is [Some v] when [s] is lower triangular after
+    simultaneously permuting rows and columns by [v] — i.e. every
+    stored entry [(v_i, v_j)] with [j > i] has [|value| <= tol] (default
+    [tol = 0.], exact zeros).  Covers plain lower triangular (identity
+    order), upper triangular (reversal) and any simultaneous permutation
+    of either, such as Fair Share stability matrices in rate order
+    (Theorem 4).  O(nnz) graph work plus an O(N) scan per pick. *)
+
+val structural_eigenvalues : ?tol:float -> Mat.Sparse.t -> Vec.t option
 (** The diagonal, when {!triangular_order} detects (permuted) triangular
     structure — the eigenvalues, exactly, since a simultaneous
-    permutation is a similarity.  [None] for dense matrices (and
-    non-square ones). *)
+    permutation is a similarity.  [None] otherwise (and for non-square
+    matrices). *)
 
-val eigenvalues : ?struct_tol:float -> Mat.t -> Complex.t array
-(** All eigenvalues of a square matrix, in no particular order:
-    the diagonal when (permuted-)triangular structure is detected at
-    [struct_tol], the QR path otherwise. Raises [Failure] if the QR
-    iteration fails to converge (does not happen for the matrices in
-    this repository) and [Invalid_argument] if the matrix is not
-    square. *)
+val eigenvalues : ?struct_tol:float -> Mat.Sparse.t -> Complex.t array
+(** All eigenvalues of a square matrix, in no particular order: the
+    diagonal when (permuted-)triangular structure is detected at
+    [struct_tol], {!eigenvalues_dense} on [Mat.Sparse.to_dense]
+    otherwise.  Raises like {!eigenvalues_dense}. *)
 
-val eigenvalues_dense : Mat.t -> Complex.t array
-(** The QR path unconditionally — for cross-checking the fast path and
-    for benchmarking. *)
+val sort_by_modulus : Complex.t array -> Complex.t array
+(** A copy sorted by decreasing modulus (ties broken by real part). *)
 
-val eigenvalues_sorted : ?struct_tol:float -> Mat.t -> Complex.t array
-(** Eigenvalues sorted by decreasing modulus (ties broken by real part). *)
-
-val spectral_radius : ?struct_tol:float -> Mat.t -> float
-(** Largest eigenvalue modulus — the quantity that decides linear
+val spectral_radius : Complex.t array -> float
+(** Largest modulus of a spectrum — the quantity that decides linear
     stability of the iteration r' = F(r). *)
 
-val spectral_radius_dense : Mat.t -> float
-(** {!spectral_radius} via the QR path unconditionally. *)
-
-val is_linearly_stable :
-  ?tol:float -> ?ignore_unit:int -> ?struct_tol:float -> Mat.t -> bool
-(** [is_linearly_stable df] holds when every eigenvalue of [df] has
+val is_linearly_stable : ?tol:float -> ?ignore_unit:int -> Complex.t array -> bool
+(** [is_linearly_stable ev] holds when every eigenvalue in [ev] has
     modulus < 1 − [tol] (default [tol = 1e-9]).  [ignore_unit] (default 0)
-    discounts that many eigenvalues closest to modulus 1 — used for
+    discounts that many eigenvalues of largest modulus — used for
     steady-state manifolds, where deviations *along* the manifold carry
     unit eigenvalues that the paper's stability notion ignores. *)
 
 val power_iteration :
-  ?max_iter:int -> ?tol:float -> Mat.t -> (float * Vec.t) option
-(** Dominant eigenvalue (by modulus, assuming it is real) and its
-    eigenvector, via normalized power iteration; [None] when the iteration
-    does not settle — e.g. a complex dominant pair. Used as an independent
-    cross-check of [eigenvalues]. *)
-
-val triangular_eigenvalues : Mat.t -> Vec.t option
-(** For a (numerically) triangular matrix, its eigenvalues are the
-    diagonal; [None] when the matrix is not triangular. Implements the
-    observation at the heart of Theorem 4.  See
-    {!structural_eigenvalues} for the permutation-aware version. *)
-
-(** {2 Sparse (CSR) structure layer}
-
-    The same structure-first strategy for {!Mat.Sparse} matrices —
-    e.g. grouped-finite-difference Jacobians — without densifying on the
-    fast path: detection walks the stored entries (O(nnz) graph work)
-    and the diagonal read costs O(N).  Only the dense-QR fallback pays
-    for a [to_dense]. *)
-
-val triangular_order_sparse : ?tol:float -> Mat.Sparse.t -> int array option
-(** CSR counterpart of {!triangular_order}; identical result on
-    [Mat.Sparse.to_dense] of the input (stored entries with
-    [|v| <= tol] — default exactly 0 — count as structural zeros). *)
-
-val structural_eigenvalues_sparse : ?tol:float -> Mat.Sparse.t -> Vec.t option
-(** The diagonal when {!triangular_order_sparse} succeeds. *)
-
-val eigenvalues_sparse : ?struct_tol:float -> Mat.Sparse.t -> Complex.t array
-(** Structure-first spectrum of a square CSR matrix: the diagonal on the
-    triangular path, dense QR on [to_dense] otherwise. *)
-
-val spectral_radius_sparse : ?struct_tol:float -> Mat.Sparse.t -> float
-
-val power_iteration_sparse :
   ?max_iter:int -> ?tol:float -> ?deflate:Vec.t -> Mat.Sparse.t ->
   (float * Vec.t) option
-(** {!power_iteration} with O(nnz) CSR mat-vec steps — the independent
-    cross-check used after incremental Jacobian updates.  With
-    [deflate] (a previously found dominant eigenvector), every iterate
-    is projected onto its orthogonal complement, estimating the
-    dominant eigenvalue of the remaining spectrum — the deflation pass
-    that certifies a claimed dominant pair actually dominates. *)
+(** Dominant eigenvalue (by modulus, assuming it is real) and its
+    eigenvector, via normalized power iteration with O(nnz) CSR mat-vec
+    steps; [None] when the iteration does not settle — e.g. a complex
+    dominant pair.  With [deflate] (a previously found dominant
+    eigenvector), every iterate is projected onto its orthogonal
+    complement, estimating the dominant eigenvalue of the remaining
+    spectrum — the deflation pass that certifies a claimed dominant pair
+    actually dominates.  The independent cross-check used after
+    incremental Jacobian updates. *)

@@ -358,6 +358,17 @@ module Sparse = struct
     if pos < 0 then invalid_arg "Mat.Sparse.set_existing: entry outside the pattern";
     s.values.(pos) <- x
 
+  let has_pattern s cols =
+    Array.length cols = s.srows
+    && (let ok = ref true in
+        Array.iteri
+          (fun i c ->
+            let lo = s.row_ptr.(i) in
+            if s.row_ptr.(i + 1) - lo <> Array.length c then ok := false
+            else Array.iteri (fun k j -> if s.col_idx.(lo + k) <> j then ok := false) c)
+          cols;
+        !ok)
+
   let iter_row s i f =
     if i < 0 || i >= s.srows then invalid_arg "Mat.Sparse.iter_row: row out of bounds";
     for k = s.row_ptr.(i) to s.row_ptr.(i + 1) - 1 do

@@ -155,6 +155,10 @@ module Sparse : sig
   (** In-place write to a stored entry; raises [Invalid_argument] for an
       entry outside the pattern (the pattern itself is immutable). *)
 
+  val has_pattern : t -> int array array -> bool
+  (** [has_pattern s cols] — whether row [i] of [s] stores exactly the
+      columns [cols.(i)], for every row.  O(nnz), no copy. *)
+
   val iter_row : t -> int -> (int -> float -> unit) -> unit
   (** [iter_row s i f] calls [f j v] for each stored entry [(i, j)] in
       increasing column order. *)

@@ -268,21 +268,19 @@ let test_jacobian_jobs_invariant () =
       ~n
   in
   let at = Array.make n (0.5 /. float_of_int n) in
-  let fresh = Jacobian.of_controller ~jobs:1 controller ~net ~at in
+  let flat df = Ffc_numerics.Mat.(to_flat (Sparse.to_dense df)) in
+  let fresh = Jacobian.of_controller_sparse ~jobs:1 controller ~net ~at in
   with_temp_cache (fun c _dir ->
       Cache.with_cache c (fun () ->
-          let df1 = Jacobian.of_controller ~jobs:1 controller ~net ~at in
+          let df1 = Jacobian.of_controller_sparse ~jobs:1 controller ~net ~at in
           let before = (Cache.counters c).Cache.hits in
           (* jobs is excluded from the key: a different jobs count must
              replay the same entry, not recompute. *)
-          let df2 = Jacobian.of_controller ~jobs:2 controller ~net ~at in
+          let df2 = Jacobian.of_controller_sparse ~jobs:2 controller ~net ~at in
           Alcotest.(check int) "jobs=2 replays the jobs=1 entry" (before + 1)
             (Cache.counters c).Cache.hits;
           Alcotest.(check bool) "jacobian bit-exact across jobs and cache" true
-            (bits_equal (Ffc_numerics.Mat.to_flat fresh)
-               (Ffc_numerics.Mat.to_flat df1)
-            && bits_equal (Ffc_numerics.Mat.to_flat fresh)
-                 (Ffc_numerics.Mat.to_flat df2))))
+            (bits_equal (flat fresh) (flat df1) && bits_equal (flat fresh) (flat df2))))
 
 let suites =
   [

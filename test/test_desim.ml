@@ -439,30 +439,30 @@ let test_wheel_next_time () =
   check_float "after pop" 42. (Timing_wheel.next_time w)
 
 let prop_wheel_matches_heap =
-  (* The satellite contract: on randomized schedules — ties, cascades,
-     overflow hops, interleaved pops — the wheel pops the exact (time,
-     sequence) order of the reference heap scheduler. *)
+  (* The wheel's oracle: on randomized schedules — ties, cascades,
+     overflow hops, interleaved pops — the scheduler pops the exact
+     (time, sequence) order of the binary [Event_heap]. *)
   prop "wheel pops identically to reference heap" ~count:60
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 2))
     (fun (seed, tick_sel) ->
       let tick = [| 1.0; 0.015625; 37.5 |].(tick_sel) in
-      let heap = Scheduler.create Scheduler.Heap in
+      let heap = Event_heap.create () in
       let wheel = Scheduler.create (Scheduler.Wheel { tick }) in
       let rng = Rng.create (seed + 1) in
       let now = ref 0. in
       let ok = ref true in
       let pop_both () =
-        let hp = Scheduler.pop heap and wp = Scheduler.pop wheel in
-        if hp <> wp then ok := false
-        else if hp then begin
+        match (Event_heap.pop_min heap, Scheduler.pop wheel) with
+        | None, false -> ()
+        | Some (time, (h, a)), true ->
           if
             not
-              (Scheduler.popped_time heap = Scheduler.popped_time wheel
-              && Scheduler.popped_handler heap = Scheduler.popped_handler wheel
-              && Scheduler.popped_a heap = Scheduler.popped_a wheel)
+              (time = Scheduler.popped_time wheel
+              && h = Scheduler.popped_handler wheel
+              && a = Scheduler.popped_a wheel)
           then ok := false;
-          now := Scheduler.popped_time heap
-        end
+          now := time
+        | Some _, false | None, true -> ok := false
       in
       let n = ref 0 in
       for step = 1 to 400 do
@@ -479,12 +479,12 @@ let prop_wheel_matches_heap =
             in
             let time = !now +. dt in
             incr n;
-            Scheduler.schedule heap ~time ~handler:step ~a:!n ~b:0;
+            Event_heap.push heap ~time (step, !n);
             Scheduler.schedule wheel ~time ~handler:step ~a:!n ~b:0
           end
           else pop_both ()
       done;
-      while !ok && Scheduler.size heap > 0 do
+      while !ok && Event_heap.size heap > 0 do
         pop_both ()
       done;
       !ok && Scheduler.size wheel = 0)
@@ -556,7 +556,7 @@ let test_pool_double_free () =
   check_false "never-allocated id is not live" (Packet.Pool.is_live p 9)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded simulation: byte-identical at any shards/jobs/scheduler     *)
+(* Sharded simulation: byte-identical at any shards/jobs               *)
 (* ------------------------------------------------------------------ *)
 
 let fingerprint net r =
@@ -625,16 +625,6 @@ let test_shard_invariance_with_drops () =
        (fun i -> Netsim.drops r ~conn:i > 0)
        (List.init (Network.num_connections net) Fun.id));
   check_true "dropful run bitwise-identical across shards" (run ~shards:6 ~jobs:3 = base)
-
-let test_scheduler_invariance () =
-  let net = shard_net () in
-  let rates = shard_rates net in
-  let run scheduler =
-    fingerprint net
-      (Netsim.run ~net ~rates ~discipline:Netsim.Fair_queueing ~seed:93 ~scheduler
-         ~shards:3 ~horizon:1_500. ())
-  in
-  check_true "heap and wheel bitwise-identical" (run `Heap = run `Wheel)
 
 let test_components_counted () =
   let net = shard_net () in
@@ -741,7 +731,6 @@ let suites =
       [
         case "stats bitwise-identical across shards/jobs" test_shard_invariance;
         case "drop path shard-invariant" test_shard_invariance_with_drops;
-        case "heap vs wheel identical" test_scheduler_invariance;
         case "component discovery" test_components_counted;
         case "traces byte-identical across shards" test_shard_trace_invariance;
       ] );

@@ -1,10 +1,11 @@
 (* The sparse structure-aware Jacobian machinery: CSR matrices and the
    zero-dimension contract, the Sherman-Morrison rank-1 solve, the
    route-incidence pattern and its probe groups, grouped finite
-   differences against the dense path (bit for bit, at every jobs
-   count), incremental churn updates against from-scratch rebuilds, the
-   finite-difference domain-guard regression, struct_tol threading, and
-   warm-cache replay of the new tiers. *)
+   differences against the lone-column oracle ([Fd_oracle], bit for
+   bit, at every jobs count and in every mode), incremental churn
+   updates against from-scratch rebuilds, the finite-difference
+   domain-guard regression, struct_tol threading, and warm-cache replay
+   of the tiers. *)
 
 open Ffc_numerics
 open Ffc_topology
@@ -172,7 +173,10 @@ let test_backward_guard_regression () =
   let at = [| 0.; 0.25 |] in
   List.iter
     (fun (name, mode) ->
-      let j = Jacobian.numeric ~mode f ~at in
+      let j =
+        Mat.Sparse.to_dense
+          (Jacobian.numeric_sparse ~mode f ~pattern:(Sparsity.full 2) ~at)
+      in
       check_true (name ^ ": all entries finite")
         (Array.for_all Float.is_finite (Mat.to_flat j));
       check_float_rel ~tol:1e-5 (name ^ ": interior derivative intact") 1.
@@ -191,9 +195,9 @@ let test_backward_guard_regression () =
   let at = [| 0.; 0.1; 0.2 |] in
   List.iter
     (fun mode ->
-      let df = Jacobian.of_controller ~mode c ~net ~at in
+      let df = Jacobian.of_controller_sparse ~mode c ~net ~at in
       check_true "controller DF finite at zero rate"
-        (Array.for_all Float.is_finite (Mat.to_flat df)))
+        (Array.for_all Float.is_finite (Mat.to_flat (Mat.Sparse.to_dense df))))
     [ Jacobian.Backward; Jacobian.Central; Jacobian.Forward ]
 
 (* ------------------------------------------------------------------ *)
@@ -245,7 +249,7 @@ let test_pattern_dense_fallback () =
     && Array.for_all (fun g -> Array.length g = 1) (Sparsity.groups p))
 
 (* ------------------------------------------------------------------ *)
-(* Grouped probing == dense probing, bit for bit                       *)
+(* Grouped probing == the lone-column oracle, bit for bit              *)
 (* ------------------------------------------------------------------ *)
 
 let churn_controller n =
@@ -256,6 +260,22 @@ let churn_controller n =
 let distinct_point n =
   let scale = 0.5 /. (float_of_int n *. float_of_int (n + 1) /. 2.) in
   Array.init n (fun i -> scale *. float_of_int (i + 1))
+
+(* [distinct_point] with the first two rates pushed under the step size
+   (0 and 5e-8 < dx), so Central and Backward columns there trip the
+   r >= 0 domain guard and fall back to Forward. *)
+let guarded_point n =
+  let at = distinct_point n in
+  at.(0) <- 0.;
+  at.(1) <- 5e-8;
+  at
+
+let modes =
+  [
+    ("central", Jacobian.Central);
+    ("forward", Jacobian.Forward);
+    ("backward", Jacobian.Backward);
+  ]
 
 let fd_topologies =
   [
@@ -271,33 +291,52 @@ let test_grouped_fd_bit_identical () =
     (fun (name, net) ->
       let n = Network.num_connections net in
       let c = churn_controller n in
-      let at = distinct_point n in
       let pattern = Sparsity.of_network net in
       let f r = Controller.step c ~net r in
       List.iter
-        (fun (mname, mode) ->
+        (fun (pname, at) ->
           List.iter
-            (fun jobs ->
-              let dense = Jacobian.numeric ~jobs ~mode f ~at in
-              let sparse = Jacobian.numeric_sparse ~jobs ~mode f ~pattern ~at in
+            (fun (mname, mode) ->
+              let oracle = Fd_oracle.numeric ~mode f ~at in
+              List.iter
+                (fun jobs ->
+                  let sparse = Jacobian.numeric_sparse ~jobs ~mode f ~pattern ~at in
+                  check_bits_mat
+                    (Printf.sprintf "%s, %s, %s, jobs=%d: sparse == oracle" name pname
+                       mname jobs)
+                    oracle
+                    (Mat.Sparse.to_dense sparse))
+                [ 1; 8 ];
+              (* The cached controller entry point agrees too. *)
               check_bits_mat
-                (Printf.sprintf "%s, %s, jobs=%d: sparse == dense" name mname
-                   jobs)
-                dense
-                (Mat.Sparse.to_dense sparse))
-            [ 1; 8 ])
-        [
-          ("central", Jacobian.Central);
-          ("forward", Jacobian.Forward);
-          ("backward", Jacobian.Backward);
-        ];
-      (* The cached controller entry points agree too (of_controller picks
-         the sparse or dense path from the pattern's density). *)
-      check_bits_mat
-        (name ^ ": of_controller == of_controller_sparse")
-        (Jacobian.of_controller c ~net ~at)
-        (Mat.Sparse.to_dense (Jacobian.of_controller_sparse c ~net ~at)))
+                (Printf.sprintf "%s, %s, %s: of_controller_sparse == oracle" name pname
+                   mname)
+                oracle
+                (Mat.Sparse.to_dense (Jacobian.of_controller_sparse ~mode c ~net ~at)))
+            modes)
+        [ ("distinct", distinct_point n); ("guarded", guarded_point n) ])
     fd_topologies
+
+let test_dense_pattern_matches_oracle () =
+  (* The churn-dense shape: one shared gateway, every pair coupled, so
+     the pattern is full and every probe group a single column. *)
+  let n = 32 in
+  let net = Topologies.single ~n () in
+  let c = churn_controller n in
+  let p = Sparsity.of_network net in
+  check_true "full pattern" (Sparsity.nnz p = n * n);
+  check_true "singleton groups" (Array.length (Sparsity.groups p) = n);
+  List.iter
+    (fun (pname, at) ->
+      List.iter
+        (fun (mname, mode) ->
+          check_bits_mat
+            (Printf.sprintf "single:32, %s, %s: of_controller_sparse == oracle" pname
+               mname)
+            (Fd_oracle.numeric ~mode (Controller.map c ~net) ~at)
+            (Mat.Sparse.to_dense (Jacobian.of_controller_sparse ~mode c ~net ~at)))
+        modes)
+    [ ("distinct", distinct_point n); ("guarded", guarded_point n) ]
 
 (* ------------------------------------------------------------------ *)
 (* Incremental updates == from-scratch rebuilds                        *)
@@ -345,7 +384,53 @@ let test_update_flow_random_churn () =
   check_true "wrong-pattern prev raises"
     (raises_invalid (fun () ->
          Jacobian.update_flow c ~net ~prev:bad ~prev_at:(distinct_point m)
-           ~at:!at))
+           ~at:!at));
+  (* Same size and nnz, different column indices: the first row that is
+     not full has its first off-diagonal column moved to the first
+     column outside its support. *)
+  let good = !prev in
+  let same_nnz =
+    let row_ptr, col_idx, values = Mat.Sparse.to_csr good in
+    let i = ref 0 in
+    while row_ptr.(!i + 1) - row_ptr.(!i) = n do incr i done;
+    let i = !i and lo = row_ptr.(!i) and hi = row_ptr.(!i + 1) in
+    let stored = Array.sub col_idx lo (hi - lo) in
+    let outside = ref 0 in
+    while Array.mem !outside stored do incr outside done;
+    let k = if stored.(0) <> i then 0 else 1 in
+    stored.(k) <- !outside;
+    let entries = Array.mapi (fun k j -> (j, values.(lo + k))) stored in
+    Array.sort compare entries;
+    Array.iteri
+      (fun k (j, v) ->
+        col_idx.(lo + k) <- j;
+        values.(lo + k) <- v)
+      entries;
+    Mat.Sparse.create ~rows:n ~cols:n ~row_ptr ~col_idx ~values
+  in
+  check_true "same nnz" (Mat.Sparse.nnz same_nnz = Mat.Sparse.nnz good);
+  check_false "different pattern" (Mat.Sparse.equal same_nnz good);
+  let mismatch = Invalid_argument "Jacobian.update_flow: previous Jacobian pattern mismatch" in
+  Alcotest.check_raises "same-nnz wrong pattern, no churn" mismatch (fun () ->
+      ignore (Jacobian.update_flow c ~net ~prev:same_nnz ~prev_at:!at ~at:!at));
+  let moved = Array.copy !at in
+  moved.(n - 1) <- moved.(n - 1) *. 1.5;
+  Alcotest.check_raises "same-nnz wrong pattern, one coordinate moved" mismatch
+    (fun () -> ignore (Jacobian.update_flow c ~net ~prev:same_nnz ~prev_at:!at ~at:moved));
+  (* A warm jac.update entry for the destination must not skip the check. *)
+  let open Ffc_cache in
+  let dir = Filename.temp_dir "ffc-update-flow-test" "" in
+  let cache = Cache.create ~dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Store.clear (Cache.store cache);
+      if Sys.file_exists dir then Sys.rmdir dir)
+    (fun () ->
+      Cache.with_cache cache (fun () ->
+          ignore (Jacobian.update_flow c ~net ~prev:good ~prev_at:!at ~at:moved);
+          Alcotest.check_raises "same-nnz wrong pattern, warm cache" mismatch
+            (fun () ->
+              ignore (Jacobian.update_flow c ~net ~prev:same_nnz ~prev_at:!at ~at:moved))))
 
 let test_update_fair_random_churn () =
   let net = Topologies.multi_parking_lot ~lots:4 ~hops:2 () in
@@ -412,11 +497,11 @@ let test_struct_tol_threading () =
      must fire and return exactly 0.5; the dropped-argument bug silently
      fell back to exact-zero detection (QR, != 0.5 in the last bits). *)
   let m = Mat.of_arrays [| [| 0.5; 1e-5 |]; [| 1e-5; 0.25 |] |] in
-  check_true "spectral_radius threads struct_tol"
-    (Jacobian.spectral_radius ~struct_tol:1e-4 m = 0.5);
-  check_true "systemically_stable threads struct_tol"
-    (Jacobian.systemically_stable ~struct_tol:1e-4 m);
   let s = Mat.Sparse.of_dense m in
+  check_true "spectral_radius threads struct_tol"
+    (Eigen.spectral_radius (Eigen.eigenvalues ~struct_tol:1e-4 s) = 0.5);
+  check_true "systemically_stable threads struct_tol"
+    (Jacobian.systemically_stable ~struct_tol:1e-4 s);
   check_true "sparse radius threads struct_tol"
     (Jacobian.spectral_radius_sparse ~struct_tol:1e-4 s = 0.5);
   check_true "incremental radius threads struct_tol"
@@ -424,47 +509,48 @@ let test_struct_tol_threading () =
   (* Default behavior (exact zeros) is unchanged: still correct, just
      through the iterative path. *)
   check_float ~tol:1e-8 "default stays on the exact-zero path" 0.5
-    (Jacobian.spectral_radius m)
+    (Jacobian.spectral_radius_sparse s)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse eigensolvers                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_eigen_sparse () =
-  (* A permuted triangular matrix: the CSR structural path must find the
-     same order and diagonal as the dense one. *)
+  (* A permuted triangular matrix: the CSR structural path must find an
+     order and the diagonal, agreeing with the dense QR oracle. *)
   let d =
     Mat.of_arrays
       [| [| 0.3; 0.; 0.9 |]; [| 0.4; 0.2; 0.7 |]; [| 0.; 0.; 0.5 |] |]
   in
   let s = Mat.Sparse.of_dense d in
-  check_true "triangular order found" (Eigen.triangular_order_sparse s <> None);
-  (match Eigen.structural_eigenvalues_sparse s with
+  check_true "triangular order found" (Eigen.triangular_order s <> None);
+  (match Eigen.structural_eigenvalues s with
   | None -> Alcotest.fail "structural diagonal expected"
   | Some diag ->
     let sorted = Array.copy diag in
     Array.sort Float.compare sorted;
     check_vec "structural diagonal" [| 0.2; 0.3; 0.5 |] sorted);
-  check_float "sparse radius = dense radius" (Eigen.spectral_radius d)
-    (Eigen.spectral_radius_sparse s);
+  check_float "sparse radius = dense radius"
+    (Eigen.spectral_radius (Eigen.eigenvalues_dense d))
+    (Eigen.spectral_radius (Eigen.eigenvalues s));
   let moduli ev =
     let ms = Array.map Complex.norm ev in
     Array.sort Float.compare ms;
     ms
   in
   check_vec ~tol:1e-9 "sparse spectrum = dense spectrum"
-    (moduli (Eigen.eigenvalues d))
-    (moduli (Eigen.eigenvalues_sparse s));
+    (moduli (Eigen.eigenvalues_dense d))
+    (moduli (Eigen.eigenvalues s));
   (* Power iteration with deflation: on diag(2, 1), deflating the
      dominant eigenvector must surface the second eigenvalue. *)
   let a = Mat.Sparse.of_dense (Mat.of_arrays [| [| 2.; 0. |]; [| 0.; 1. |] |]) in
-  (match Eigen.power_iteration_sparse a with
+  (match Eigen.power_iteration a with
   | None -> Alcotest.fail "power iteration should converge"
   | Some (lam, v) ->
     check_float ~tol:1e-7 "dominant eigenvalue" 2. lam;
     check_true "dominant eigenvector along e1"
       (Float.abs v.(0) > 0.99 && Float.abs v.(1) < 0.01);
-    match Eigen.power_iteration_sparse ~deflate:v a with
+    match Eigen.power_iteration ~deflate:v a with
     | None -> Alcotest.fail "deflated iteration should converge"
     | Some (lam2, _) ->
       check_float ~tol:1e-6 "deflated second eigenvalue" 1. lam2)
@@ -553,6 +639,7 @@ let suites =
         case "multi-parking-lot pattern and groups" test_pattern_multi_parking_lot;
         case "dense-pattern fallback" test_pattern_dense_fallback;
         case "grouped FD == dense, bit for bit" test_grouped_fd_bit_identical;
+        case "dense pattern == oracle (single:32)" test_dense_pattern_matches_oracle;
         case "update_flow == rebuild under churn" test_update_flow_random_churn;
         case "update_fair == fair_masked under churn" test_update_fair_random_churn;
         case "map_rows matches step" test_map_rows_matches_step;
