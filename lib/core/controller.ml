@@ -18,6 +18,10 @@ let check_net t net rates =
   let n = Network.num_connections net in
   if Array.length t.adjusters <> n then
     invalid_arg "Controller: adjuster count does not match the network";
+  (match t.config.Feedback.weights with
+  | Some w when Array.length w <> n ->
+    invalid_arg "Controller: feedback weight count does not match the network"
+  | Some _ | None -> ());
   if Array.length rates <> n then
     invalid_arg "Controller: rate vector does not match the network"
 

@@ -13,7 +13,10 @@ open Ffc_topology
 type t
 
 val create : config:Feedback.config -> adjusters:Rate_adjust.t array -> t
-(** One adjuster per connection (checked against the network at use). *)
+(** One adjuster per connection, and one weight per connection when the
+    config carries feedback weights (both checked against the network
+    at use: {!step}, {!map_rows} and {!step_subset} raise
+    [Invalid_argument] on a count mismatch). *)
 
 val homogeneous : config:Feedback.config -> adjuster:Rate_adjust.t -> n:int -> t
 (** All [n] connections share one algorithm. *)

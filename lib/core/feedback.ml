@@ -9,7 +9,13 @@ type config = {
   weights : Vec.t option;
 }
 
-let make ?weights ~style ~signal ~discipline () = { style; signal; discipline; weights }
+let make ?weights ~style ~signal ~discipline () =
+  Option.iter
+    (Array.iter (fun w ->
+         if not (Float.is_finite w && w > 0.) then
+           invalid_arg "Feedback.make: weights must be finite and positive"))
+    weights;
+  { style; signal; discipline; weights }
 
 let aggregate_fifo =
   make ~style:Congestion.Aggregate ~signal:Signal.linear_fractional
@@ -50,16 +56,29 @@ let per_gateway_signals config ~net ~rates =
       let q = queues config ~net ~rates ~gw:a in
       signals_of_gateway config ~net ~gw:a q)
 
-(* Bottleneck combination b_i = max_{a in gamma(i)} b^a_i from
-   already-computed per-gateway signal vectors. *)
+(* Bottleneck combination b_i = max_{a in gamma(i)} b^a_i of connection
+   [i] from already-computed per-gateway signal vectors, folded in path
+   order. *)
+let combine_signal ~net per_gw i =
+  let pos = Network.local_positions net i in
+  let acc = ref 0. in
+  List.iteri
+    (fun j a -> acc := Float.max !acc per_gw.(a).(pos.(j)))
+    (Network.gateways_of_connection net i);
+  !acc
+
+(* Round-trip delay d_i = Σ_{a in gamma(i)} (l_a + W^a_i), in path order. *)
+let combine_delay ~net per_gw_sojourns i =
+  let pos = Network.local_positions net i in
+  let acc = ref 0. in
+  List.iteri
+    (fun j a ->
+      acc := !acc +. (Network.gateway net a).Network.latency +. per_gw_sojourns.(a).(pos.(j)))
+    (Network.gateways_of_connection net i);
+  !acc
+
 let combine_signals ~net per_gw =
-  Array.init (Network.num_connections net) (fun i ->
-      List.fold_left
-        (fun acc a ->
-          let pos = Network.local_index net ~conn:i ~gw:a in
-          Float.max acc per_gw.(a).(pos))
-        0.
-        (Network.gateways_of_connection net i))
+  Array.init (Network.num_connections net) (combine_signal ~net per_gw)
 
 let signals config ~net ~rates =
   combine_signals ~net (per_gateway_signals config ~net ~rates)
@@ -70,21 +89,13 @@ let bottlenecks config ~net ~rates =
   let per_gw = per_gateway_signals config ~net ~rates in
   let b = combine_signals ~net per_gw in
   Array.init (Network.num_connections net) (fun i ->
-      List.filter
-        (fun a ->
-          let pos = Network.local_index net ~conn:i ~gw:a in
-          Float.abs (per_gw.(a).(pos) -. b.(i)) <= 1e-12)
+      let pos = Network.local_positions net i in
+      List.filteri
+        (fun j a -> Float.abs (per_gw.(a).(pos.(j)) -. b.(i)) <= 1e-12)
         (Network.gateways_of_connection net i))
 
 let combine_delays ~net per_gw_sojourns =
-  Array.init (Network.num_connections net) (fun i ->
-      List.fold_left
-        (fun acc a ->
-          let w = per_gw_sojourns.(a) in
-          let pos = Network.local_index net ~conn:i ~gw:a in
-          acc +. (Network.gateway net a).Network.latency +. w.(pos))
-        0.
-        (Network.gateways_of_connection net i))
+  Array.init (Network.num_connections net) (combine_delay ~net per_gw_sojourns)
 
 let delays config ~net ~rates =
   let sojourns =
@@ -126,19 +137,8 @@ let evaluate_rows config ~net ~rates ~rows =
   let d = Array.make n 0. in
   Array.iter
     (fun i ->
-      let gws = Network.gateways_of_connection net i in
-      b.(i) <-
-        List.fold_left
-          (fun acc a ->
-            let pos = Network.local_index net ~conn:i ~gw:a in
-            Float.max acc per_gw_signals.(a).(pos))
-          0. gws;
-      d.(i) <-
-        List.fold_left
-          (fun acc a ->
-            let pos = Network.local_index net ~conn:i ~gw:a in
-            acc +. (Network.gateway net a).Network.latency +. per_gw_sojourns.(a).(pos))
-          0. gws)
+      b.(i) <- combine_signal ~net per_gw_signals i;
+      d.(i) <- combine_delay ~net per_gw_sojourns i)
     rows;
   (b, d)
 

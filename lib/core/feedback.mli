@@ -23,6 +23,9 @@ type config = {
 val make :
   ?weights:Vec.t -> style:Congestion.style -> signal:Signal.t ->
   discipline:Service.t -> unit -> config
+(** Raises [Invalid_argument] when a weight is not finite and positive.
+    The weight count is checked against the network where the config
+    meets one, in {!Controller}. *)
 
 val aggregate_fifo : config
 (** Aggregate feedback (discipline irrelevant for signals; FIFO for

@@ -125,10 +125,6 @@ let is_lower_triangular ?(tol = 1e-9) m =
   done;
   !ok
 
-let is_upper_triangular ?tol m = is_lower_triangular ?tol (transpose m)
-
-let is_triangular ?tol m = is_lower_triangular ?tol m || is_upper_triangular ?tol m
-
 let permute_rows_cols m p =
   if m.rows <> m.cols then invalid_arg "Mat.permute_rows_cols: not square";
   if Array.length p <> m.rows then
@@ -384,24 +380,15 @@ module Sparse = struct
     done;
     m
 
-  (* [pattern], when given, lists each row's stored columns (sorted,
-     strictly increasing); entries of [m] outside it are dropped even if
-     nonzero.  Without it the structural nonzeros of [m] are kept. *)
-  let of_dense ?pattern m =
+  let of_dense m =
     let r = m.rows and c = m.cols in
     let row_cols =
-      match pattern with
-      | Some p ->
-        if Array.length p <> r then
-          invalid_arg "Mat.Sparse.of_dense: pattern row count mismatch";
-        p
-      | None ->
-        Array.init r (fun i ->
-            let acc = ref [] in
-            for j = c - 1 downto 0 do
-              if dense_get m i j <> 0. then acc := j :: !acc
-            done;
-            Array.of_list !acc)
+      Array.init r (fun i ->
+          let acc = ref [] in
+          for j = c - 1 downto 0 do
+            if dense_get m i j <> 0. then acc := j :: !acc
+          done;
+          Array.of_list !acc)
     in
     let row_ptr = Array.make (r + 1) 0 in
     for i = 0 to r - 1 do

@@ -83,11 +83,6 @@ val is_lower_triangular : ?tol:float -> t -> bool
 (** True when all entries strictly above the diagonal have absolute value
     at most [tol] (default [1e-9]). *)
 
-val is_upper_triangular : ?tol:float -> t -> bool
-
-val is_triangular : ?tol:float -> t -> bool
-(** Lower or upper triangular. *)
-
 val permute_rows_cols : t -> int array -> t
 (** [permute_rows_cols m p] is the matrix with entry [(i, j)] equal to
     [m(p.(i), p.(j))] — simultaneous row/column permutation, used to test
@@ -165,13 +160,8 @@ module Sparse : sig
 
   val to_dense : t -> dense
 
-  val of_dense : ?pattern:int array array -> dense -> t
-  (** Without [pattern], keeps exactly the structural nonzeros.  With
-      [pattern] (per-row sorted, strictly increasing column lists), the
-      stored pattern is taken verbatim — entries of the dense matrix
-      outside it are dropped, entries inside it are stored even when
-      zero — so [to_dense (of_dense ~pattern m)] masks [m] to the
-      pattern. *)
+  val of_dense : dense -> t
+  (** Keeps exactly the structural nonzeros. *)
 
   val mul_vec : t -> Vec.t -> Vec.t
 

@@ -77,22 +77,25 @@ let decomposition rates =
              level's threshold sorted.(j). *)
           if rates.(i) >= sorted.(j) then increments.(j) else 0.))
 
-let sojourn_times ~mu rates =
-  check ~mu rates;
-  let q = queue_lengths ~mu rates in
-  (* Limiting sojourn of an infinitesimal connection: probe with a tiny
-     rate that does not perturb the others.  The probed rate multiset is
-     the same whichever zero-rate slot carries the probe, so one probe
-     pass serves every zero-rate connection — O(N log N) total instead
-     of a full recomputation per zero-rate connection. *)
-  let zero_limit =
-    lazy
-      (let probe = 1e-9 *. mu in
-       let i0 = ref (-1) in
-       Array.iteri (fun i r -> if !i0 < 0 && r = 0. then i0 := i) rates;
-       let rates' = Array.copy rates in
-       rates'.(!i0) <- probe;
-       let q' = queue_lengths ~mu rates' in
-       q'.(!i0) /. probe)
-  in
-  Array.mapi (fun i r -> if r > 0. then q.(i) /. r else Lazy.force zero_limit) rates
+(* Bit identity with the probe: the zero slots sorted ahead of it see
+   T = 0 and queue 0, so the probe's level is [queues_sorted]'s step with
+   both partial sums 0 and N − i = k + 1, computed here with the same
+   operations in the same order. *)
+let zero_rate_sojourn ~mu rates =
+  let probe = 1e-9 *. mu in
+  let k = ref 0 and above = ref true in
+  Array.iter
+    (fun r ->
+      if r > 0. then begin
+        incr k;
+        if not (r > probe) then above := false
+      end)
+    rates;
+  if not !above then None
+  else
+    let levels = float_of_int (!k + 1) in
+    let t = 0. +. (levels *. probe) in
+    if t >= mu then Some Float.infinity
+    else
+      let q = (Mm1.g (t /. mu) -. 0.) /. levels in
+      Some ((if q < 0. then 0. else q) /. probe)

@@ -46,7 +46,20 @@ val level_rates : Vec.t -> float array
     sorted rate vector (zero increments from tied rates are kept so that
     level indices align with sorted connection indices). *)
 
-val sojourn_times : mu:float -> Vec.t -> Vec.t
-(** Mean per-packet time in system per connection, by Little's law
-    W_i = Q_i/r_i; connections with zero rate get the limiting value of an
-    infinitesimal-rate connection (computed at a vanishing probe rate). *)
+val zero_rate_sojourn : mu:float -> Vec.t -> float option
+(** The Little's-law sojourn Q/r of a zero-rate connection in the limit
+    of a vanishing rate, in closed form.  [rates] must hold at least one
+    zero and pass {!queue_lengths}'s checks.  The limit is the probe
+    {!Service.sojourn_times} uses for every discipline — the first zero
+    slot raised to the probe rate 1e-9·μ, the queue vector solved again
+    and the slot's queue divided by the probe — and when every positive
+    rate exceeds the probe the sort puts the probe directly after the
+    zeros, so with k positive rates its level has
+
+      T = (k+1)·probe,  Q = g(T/μ)/(k+1)  (clamped at 0),
+
+    and the result is [Some (Q /. probe)], or [Some infinity] when
+    T ≥ μ, bit for bit the probe's value without a second sort.  When
+    some positive rate is at or below the probe, where it sorts and
+    how ties with the probe fall depend on the sort, so the result is
+    [None] and {!Service} solves the probed vector instead. *)

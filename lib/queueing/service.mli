@@ -40,14 +40,23 @@ val total_queue : t -> mu:float -> Vec.t -> float
 
 val sojourn_times : t -> mu:float -> Vec.t -> Vec.t
 (** Per-connection mean time in system by Little's law Q_i/r_i, with the
-    infinitesimal-probe limit at zero rate (one shared probe — the
-    discipline's symmetry makes the limit slot-independent). *)
+    infinitesimal-probe limit at zero rate: the first zero-rate slot is
+    raised to 1e-9·μ, the queue vector is solved again, and that slot's
+    queue divided by the probe serves every zero-rate connection (the
+    discipline's symmetry makes the limit slot-independent).  Each
+    discipline has one implementation of that limit.  {!fair_share}
+    uses {!Fair_share.zero_rate_sojourn}'s closed form, the probe's
+    value bit for bit without the second solve, whenever every positive
+    rate exceeds the probe; when some positive rate is at or below it,
+    and for {!fifo}, {!processor_sharing} and every discipline built
+    with {!make}, the probe is solved. *)
 
 val evaluate : t -> mu:float -> Vec.t -> Vec.t * Vec.t
 (** [(queue_lengths, sojourn_times)] from a single queue-length
     evaluation — the discipline's Q(r) is the expensive part, and both
     outputs derive from it, so fusing them halves the cost of a
-    combined signals+delays pass. *)
+    combined signals+delays pass (plus the zero-rate probe, where
+    {!sojourn_times} still solves one). *)
 
 val builtin : t list
 (** The two disciplines studied in the paper, FIFO first. *)

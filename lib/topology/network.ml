@@ -6,8 +6,9 @@ type t = {
   gateways : gateway array;
   connections : connection array;
   at_gateway : int list array;  (** Γ(a), increasing connection index. *)
-  local_idx : (int * int, int) Hashtbl.t;
-      (** (conn, gw) -> position of conn within Γ(gw). *)
+  local_pos : int array array;
+      (** [local_pos.(i).(j)]: position of connection i within Γ(a) for
+          the j-th gateway a of its path. *)
 }
 
 let validate ~gateways ~connections =
@@ -52,16 +53,26 @@ let create ~gateways ~connections =
   validate ~gateways ~connections;
   let gateways = Array.copy gateways and connections = Array.copy connections in
   let ng = Array.length gateways in
+  (* Connections are visited in increasing index, so a gateway's running
+     count is the position of the next connection within its Γ(a), and
+     prepending builds each Γ(a) in decreasing order. *)
+  let fanin = Array.make ng 0 in
   let at_gateway = Array.make ng [] in
-  Array.iteri
-    (fun i c -> List.iter (fun a -> at_gateway.(a) <- i :: at_gateway.(a)) c.path)
-    connections;
-  let at_gateway = Array.map (fun l -> List.sort compare l) at_gateway in
-  let local_idx = Hashtbl.create 64 in
-  Array.iteri
-    (fun a conns -> List.iteri (fun pos i -> Hashtbl.add local_idx (i, a) pos) conns)
-    at_gateway;
-  { gateways; connections; at_gateway; local_idx }
+  let local_pos =
+    Array.mapi
+      (fun i c ->
+        Array.of_list
+          (List.map
+             (fun a ->
+               let pos = fanin.(a) in
+               fanin.(a) <- pos + 1;
+               at_gateway.(a) <- i :: at_gateway.(a);
+               pos)
+             c.path))
+      connections
+  in
+  let at_gateway = Array.map List.rev at_gateway in
+  { gateways; connections; at_gateway; local_pos }
 
 let num_gateways t = Array.length t.gateways
 let num_connections t = Array.length t.connections
@@ -76,6 +87,11 @@ let connection t i =
   t.connections.(i)
 
 let gateways_of_connection t i = (connection t i).path
+
+let local_positions t i =
+  if i < 0 || i >= num_connections t then
+    invalid_arg "Network.local_positions: index out of bounds";
+  t.local_pos.(i)
 
 let connections_at_gateway t a =
   if a < 0 || a >= num_gateways t then
@@ -118,12 +134,18 @@ let with_latencies t lats =
 let rates_at_gateway t ~rates a =
   if Array.length rates <> num_connections t then
     invalid_arg "Network.rates_at_gateway: rates length mismatch";
-  connections_at_gateway t a |> List.map (fun i -> rates.(i)) |> Array.of_list
+  let conns = connections_at_gateway t a in
+  let local = Array.make (List.length conns) 0. in
+  List.iteri (fun k i -> local.(k) <- rates.(i)) conns;
+  local
 
 let local_index t ~conn ~gw =
-  match Hashtbl.find_opt t.local_idx (conn, gw) with
-  | Some pos -> pos
-  | None -> raise Not_found
+  if conn < 0 || conn >= num_connections t then raise Not_found;
+  let rec find j = function
+    | [] -> raise Not_found
+    | a :: rest -> if a = gw then t.local_pos.(conn).(j) else find (j + 1) rest
+  in
+  find 0 t.connections.(conn).path
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>network: %d gateways, %d connections@," (num_gateways t)

@@ -35,6 +35,13 @@ val connection : t -> int -> connection
 val gateways_of_connection : t -> int -> int list
 (** γ(i), in path order. *)
 
+val local_positions : t -> int -> int array
+(** [local_positions net i] is aligned with [gateways_of_connection net i]:
+    entry [j] is the position of connection [i] within
+    [connections_at_gateway] of its path's [j]-th gateway, i.e. its slot
+    in that gateway's local rate and queue vectors.  Built once by
+    {!create}; the array is the network's own: do not mutate it. *)
+
 val connections_at_gateway : t -> int -> int list
 (** Γ(a), in increasing connection index. *)
 
@@ -66,9 +73,10 @@ val rates_at_gateway : t -> rates:float array -> int -> float array
     [connections_at_gateway]. [rates] is indexed by connection. *)
 
 val local_index : t -> conn:int -> gw:int -> int
-(** Position of connection [conn] within [connections_at_gateway gw].
-    Raises [Not_found] when the connection does not traverse the
-    gateway. *)
+(** Position of connection [conn] within [connections_at_gateway gw],
+    found by a scan of [conn]'s path (hot loops read
+    {!local_positions} instead).  Raises [Not_found] when the
+    connection does not traverse the gateway. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable topology summary. *)

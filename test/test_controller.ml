@@ -137,6 +137,43 @@ let test_mismatched_sizes_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_feedback_weights_validated () =
+  (* On single:3: a weight vector of the wrong length is refused before
+     any gateway is evaluated (too long used to be silently truncated,
+     too short failed with a bare index error inside the step), and a
+     weight that is not finite and positive is refused by
+     [Feedback.make] (it used to surface as a Signal.eval error). *)
+  let net = single 3 in
+  let weighted weights =
+    Feedback.make ~weights ~style:Congestion.Individual ~signal:Signal.linear_fractional
+      ~discipline:Ffc_queueing.Service.fair_share ()
+  in
+  List.iter
+    (fun weights ->
+      let c = Controller.homogeneous ~config:(weighted weights) ~adjuster:additive ~n:3 in
+      let expected =
+        Invalid_argument "Controller: feedback weight count does not match the network"
+      in
+      let msg what = Printf.sprintf "%d weights: %s" (Array.length weights) what in
+      Alcotest.check_raises (msg "step") expected (fun () ->
+          ignore (Controller.step c ~net [| 0.1; 0.2; 0.3 |]));
+      Alcotest.check_raises (msg "map_rows") expected (fun () ->
+          ignore (Controller.map_rows c ~net ~rows:[| 0 |] [| 0.1; 0.2; 0.3 |]));
+      Alcotest.check_raises (msg "step_subset") expected (fun () ->
+          ignore
+            (Controller.step_subset c ~net ~mask:[| true; true; true |] [| 0.1; 0.2; 0.3 |])))
+    [ [| 1.; 2.; 3.; 4. |]; [| 1.; 2. |] ];
+  List.iter
+    (fun w ->
+      Alcotest.check_raises (Printf.sprintf "weight %g refused" w)
+        (Invalid_argument "Feedback.make: weights must be finite and positive")
+        (fun () -> ignore (weighted [| 1.; w; 1. |])))
+    [ 0.; -0.; -1.; Float.nan; Float.infinity ];
+  (* A matching, positive vector still runs. *)
+  let c = Controller.homogeneous ~config:(weighted [| 1.; 2.; 3. |]) ~adjuster:additive ~n:3 in
+  check_true "valid weights accepted"
+    (Array.for_all Float.is_finite (Controller.step c ~net [| 0.1; 0.2; 0.3 |]))
+
 let test_multi_gateway_bottleneck () =
   (* Parking lot with a fat second gateway: the long connection is
      bottlenecked at gw0; the cross connection at gw1 grabs the slack
@@ -352,6 +389,7 @@ let suites =
         case "heterogeneous starvation" test_heterogeneous_adjusters;
         case "steady-state predicate" test_steady_state_predicate;
         case "size validation" test_mismatched_sizes_rejected;
+        case "feedback weight validation" test_feedback_weights_validated;
         case "multi-gateway bottleneck" test_multi_gateway_bottleneck;
         case "subset updates" test_step_subset;
         case "async run reaches fair point" test_run_async_reaches_fair_point;

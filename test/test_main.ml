@@ -21,6 +21,7 @@ let () =
          Test_congestion.suites;
          Test_rate_adjust.suites;
          Test_controller.suites;
+         Test_feedback.suites;
          Test_steady_state.suites;
          Test_jacobian.suites;
          Test_sparse.suites;

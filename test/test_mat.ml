@@ -75,10 +75,8 @@ let test_triangular_predicates () =
   let upper = m22 1. 5. 0. 2. in
   let full = m22 1. 5. 5. 2. in
   check_true "lower detected" (Mat.is_lower_triangular lower);
-  check_false "lower is not upper" (Mat.is_upper_triangular lower);
-  check_true "upper detected" (Mat.is_upper_triangular upper);
-  check_true "lower is triangular" (Mat.is_triangular lower);
-  check_false "full not triangular" (Mat.is_triangular full)
+  check_false "upper is not lower" (Mat.is_lower_triangular upper);
+  check_false "full is not lower" (Mat.is_lower_triangular full)
 
 let test_permute () =
   let m = m22 1. 2. 3. 4. in

@@ -95,22 +95,12 @@ let test_sparse_accessors () =
   check_true "set_existing outside pattern raises"
     (raises_invalid (fun () -> Mat.Sparse.set_existing c 1 1 5.))
 
-let test_sparse_of_dense_pattern () =
-  let d = Mat.of_arrays [| [| 1.; 4. |]; [| 5.; 6. |] |] in
-  (* Bare of_dense keeps structural nonzeros only. *)
-  let z = Mat.Sparse.of_dense (Mat.of_arrays [| [| 1.; 0. |]; [| 0.; 6. |] |]) in
-  check_true "bare of_dense drops zeros" (Mat.Sparse.nnz z = 2);
-  (* With a pattern, inside entries are stored even when 0 and outside
-     entries are dropped. *)
-  let p = Mat.Sparse.of_dense ~pattern:[| [| 0 |]; [| 0; 1 |] |] d in
-  check_true "pattern taken verbatim" (Mat.Sparse.nnz p = 3);
-  check_float "outside entry dropped" 0. (Mat.Sparse.get p 0 1);
-  let q =
-    Mat.Sparse.of_dense ~pattern:[| [| 0; 1 |]; [||] |]
-      (Mat.of_arrays [| [| 0.; 0. |]; [| 5.; 6. |] |])
-  in
-  check_true "explicit zeros stored" (Mat.Sparse.nnz q = 2);
-  check_float "masked row reads 0" 0. (Mat.Sparse.get q 1 0)
+let test_sparse_of_dense_nonzeros () =
+  (* of_dense keeps structural nonzeros only, and round-trips. *)
+  let d = Mat.of_arrays [| [| 1.; 0. |]; [| 0.; 6. |] |] in
+  let z = Mat.Sparse.of_dense d in
+  check_true "of_dense drops zeros" (Mat.Sparse.nnz z = 2);
+  check_bits_mat "to_dense (of_dense d) = d" d (Mat.Sparse.to_dense z)
 
 let test_zero_dim_contract () =
   let zero = Mat.of_arrays [||] in
@@ -628,7 +618,7 @@ let suites =
       [
         case "CSR create validation" test_sparse_create_validation;
         case "CSR accessors" test_sparse_accessors;
-        case "of_dense with pattern" test_sparse_of_dense_pattern;
+        case "of_dense nonzeros" test_sparse_of_dense_nonzeros;
         case "zero-dimension contract" test_zero_dim_contract;
         case "Sherman-Morrison rank-1 solve" test_solve_rank1;
         case "sparse eigensolvers + deflation" test_eigen_sparse;

@@ -96,6 +96,33 @@ let test_local_index () =
   Alcotest.check_raises "not on path" Not_found (fun () ->
       ignore (Network.local_index net ~conn:1 ~gw:0))
 
+let test_local_positions () =
+  (* The per-connection position arrays agree with the path and with
+     each gateway's connection list, on canonical and random shapes. *)
+  let rng = Rng.create 31 in
+  List.iter
+    (fun net ->
+      for i = 0 to Network.num_connections net - 1 do
+        let path = Network.gateways_of_connection net i in
+        let pos = Network.local_positions net i in
+        Alcotest.(check int) "one position per hop" (List.length path) (Array.length pos);
+        List.iteri
+          (fun j a ->
+            Alcotest.(check int) "slot holds the connection" i
+              (List.nth (Network.connections_at_gateway net a) pos.(j));
+            Alcotest.(check int) "local_index agrees" pos.(j)
+              (Network.local_index net ~conn:i ~gw:a))
+          path
+      done)
+    [
+      two_hop ();
+      Topologies.parking_lot ~hops:4 ();
+      Topologies.multi_parking_lot ~lots:2 ~hops:3 ();
+      Topologies.random ~rng ~gateways:6 ~connections:12 ~max_path:4 ();
+    ];
+  Alcotest.check_raises "unknown connection" Not_found (fun () ->
+      ignore (Network.local_index (two_hop ()) ~conn:7 ~gw:0))
+
 let test_single () =
   let net = Topologies.single ~n:4 () in
   Alcotest.(check int) "one gateway" 1 (Network.num_gateways net);
@@ -251,6 +278,7 @@ let suites =
         case "with_latencies" test_with_latencies;
         case "rates at gateway" test_rates_at_gateway;
         case "local index" test_local_index;
+        case "local positions" test_local_positions;
       ] );
     ( "topology.builders",
       [
