@@ -3,7 +3,7 @@ open Ffc_topology
 open Ffc_core
 open Ffc_desim
 
-type discipline = Fifo | Fs_priority | Fair_queueing
+type discipline = Netsim.discipline = Fifo | Fs_priority | Fair_queueing
 
 type result = {
   times : float array;
@@ -12,53 +12,6 @@ type result = {
   final_rates : float array;
   mean_tail_rates : float array;
 }
-
-let qdisc_of = function
-  | Fifo -> Qdisc.Fifo
-  | Fs_priority -> Qdisc.Preemptive_priority
-  | Fair_queueing -> Qdisc.Fair_queueing
-
-(* Fair Share thinning table from the *current* rate vector at a gateway:
-   cumulative (class, rate) pairs; see Netsim for the open-loop analogue. *)
-let fs_class_table ~local_rates ~rate =
-  if rate <= 0. then [||]
-  else begin
-    let sorted = Vec.sorted_increasing local_rates in
-    let entries = ref [] in
-    let cum = ref 0. in
-    Array.iteri
-      (fun j threshold ->
-        let increment = if j = 0 then threshold else threshold -. sorted.(j - 1) in
-        if increment > 0. && threshold <= rate then begin
-          cum := !cum +. increment;
-          entries := (j, !cum) :: !entries
-        end)
-      sorted;
-    Array.of_list (List.rev !entries)
-  end
-
-let draw_fs_class table rng ~rate =
-  let u = Rng.uniform rng *. rate in
-  let n = Array.length table in
-  let rec go i =
-    if i >= n - 1 then fst table.(n - 1)
-    else begin
-      let _, cum = table.(i) in
-      if u <= cum then fst table.(i) else go (i + 1)
-    end
-  in
-  if n = 0 then 0 else go 0
-
-(* A capacity-based event-rate estimate sizes the timing-wheel tick:
-   executed events per unit time are bounded by completions plus
-   forwards at every gateway (~2 mu each) whatever the rates do. *)
-let wheel_for net =
-  let n_gws = Network.num_gateways net in
-  let cap = ref 0. in
-  for a = 0 to n_gws - 1 do
-    cap := !cap +. (2. *. (Network.gateway net a).Network.mu)
-  done;
-  Scheduler.Wheel { tick = Scheduler.auto_tick ~events_per_time:!cap }
 
 (* Per-gateway (connection, hop) incidence in Gamma(a) order — shared by
    the FS table refresh and the measured-queue readout. *)
@@ -71,6 +24,44 @@ let gateway_incidence net paths =
              Array.iteri (fun k g -> if g = a then hop := k) paths.(i);
              (i, !hop))
       |> Array.of_list)
+
+(* The whole network on one fabric.  Both runners split [root] in the
+   same order: a stream per gateway, then one per connection (after
+   whatever the caller split first).  A capacity-based event-rate
+   estimate sizes the timing-wheel tick: executed events per unit time
+   are bounded by completions plus forwards at every gateway (~2 mu
+   each) whatever the rates do. *)
+let assemble ~net ~paths ~root ~r0 ~qdisc ?buffer_limit ?klass () =
+  let gateways = Array.init (Network.num_gateways net) (Network.gateway net) in
+  let capacity = Array.fold_left (fun acc g -> acc +. (2. *. g.Network.mu)) 0. gateways in
+  let tick = Scheduler.auto_tick ~events_per_time:capacity in
+  let sim = Sim.create ~scheduler:(Scheduler.Wheel { tick }) () in
+  let server_rngs = Array.map (fun _ -> Rng.split root) gateways in
+  let source_rngs = Array.map (fun _ -> Rng.split root) paths in
+  let fabric =
+    Fabric.create ~sim ~gateways ~paths ~rates:r0 ~qdisc ?buffer_limit ~server_rng:(Array.get server_rngs)
+      ~source_rng:(Array.get source_rngs) ?klass ()
+  in
+  (sim, fabric)
+
+(* Runs [updates] control windows of length [interval], calling
+   [update k] at the end of window [k]. *)
+let drive sim ~interval ~updates update =
+  for k = 0 to updates - 1 do
+    Sim.run ~until:(float_of_int (k + 1) *. interval) sim;
+    update k
+  done
+
+(* Per-connection mean of the logged rates over the last [tail]
+   updates. *)
+let tail_mean rates_log ~tail =
+  let updates = Array.length rates_log in
+  Array.init (Array.length rates_log.(0)) (fun i ->
+      let acc = ref 0. in
+      for k = updates - tail to updates - 1 do
+        acc := !acc +. rates_log.(k).(i)
+      done;
+      !acc /. float_of_int tail)
 
 let run ~net ~discipline ~style ~signal ~adjusters ~r0 ~interval ~updates ~seed () =
   let n_conns = Network.num_connections net in
@@ -85,14 +76,11 @@ let run ~net ~discipline ~style ~signal ~adjusters ~r0 ~interval ~updates ~seed 
       if (not (Float.is_finite r)) || r < 0. then
         invalid_arg "Closed_loop.run: rates must be finite and non-negative")
     r0;
-  let sim = Sim.create ~scheduler:(wheel_for net) () in
-  let root_rng = Rng.create seed in
-  let pool = Packet.Pool.create () in
+  let root = Rng.create seed in
   let current_rates = Array.copy r0 in
   let paths =
     Array.init n_conns (fun i -> Array.of_list (Network.gateways_of_connection net i))
   in
-  let flat = Measure.Flat.create ~paths in
   let incidence = gateway_incidence net paths in
   (* FS thinning tables per (connection, hop), refreshed at every
      control update. *)
@@ -104,63 +92,27 @@ let run ~net ~discipline ~style ~signal ~adjusters ~r0 ~interval ~updates ~seed 
         Array.iter
           (fun (i, hop) ->
             class_tables.(i).(hop) <-
-              fs_class_table ~local_rates ~rate:current_rates.(i))
+              Netsim.fs_class_table ~local_rates ~rate:current_rates.(i))
           incidence.(a)
       done
   in
   refresh_class_tables ();
-  let servers = Array.make n_gws None in
-  let server_of a = match servers.(a) with Some s -> s | None -> assert false in
-  let class_rng = Rng.split root_rng in
-  let fs = discipline = Fs_priority in
-  let inject_at pkt hop =
-    let i = Packet.Pool.conn pool pkt in
-    let a = paths.(i).(hop) in
-    Packet.Pool.set_hop pool pkt hop;
-    (if fs then begin
-       let table = class_tables.(i).(hop) in
-       if Array.length table > 0 then
-         Packet.Pool.set_klass pool pkt
-           (draw_fs_class table class_rng ~rate:(Float.max 1e-12 current_rates.(i)))
-       else Packet.Pool.set_klass pool pkt 0
-     end);
-    Measure.Flat.incr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    Server.inject (server_of a) pkt
-  in
-  let h_forward = Sim.register sim (fun pkt hop -> inject_at pkt hop) in
-  let deliver pkt =
-    let i = Packet.Pool.conn pool pkt in
-    Measure.Flat.record_delay flat ~conn:i (Sim.now sim -. Packet.Pool.born pool pkt);
-    Measure.Flat.count_delivery flat ~conn:i;
-    Packet.Pool.free pool pkt
-  in
-  let h_deliver = Sim.register sim (fun pkt _ -> deliver pkt) in
-  let on_depart a pkt =
-    let i = Packet.Pool.conn pool pkt in
-    let hop = Packet.Pool.hop pool pkt in
-    Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    let latency = (Network.gateway net a).Network.latency in
-    if hop < Array.length paths.(i) - 1 then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_forward ~a:pkt ~b:(hop + 1)
-    else if latency > 0. then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_deliver ~a:pkt ~b:0
-    else deliver pkt
-  in
-  for a = 0 to n_gws - 1 do
-    let rng = Rng.split root_rng in
-    servers.(a) <-
+  let class_rng = Rng.split root in
+  let klass =
+    if discipline <> Fs_priority then None
+    else
       Some
-        (Server.create ~sim ~rng ~pool
-           ~mu:(Network.gateway net a).Network.mu
-           ~qdisc:(qdisc_of discipline) ~on_depart:(on_depart a) ())
-  done;
-  let emit pkt = inject_at pkt 0 in
-  let sources =
-    Array.init n_conns (fun i ->
-        let rng = Rng.split root_rng in
-        Source.create ~sim ~rng ~pool ~conn:i ~rate:r0.(i) ~emit ())
+        (fun i hop ->
+          let table = class_tables.(i).(hop) in
+          if Array.length table = 0 then 0
+          else
+            Netsim.draw_fs_class table class_rng
+              ~rate:(Float.max 1e-12 current_rates.(i)))
   in
-  Array.iter Source.start sources;
+  let sim, fabric =
+    assemble ~net ~paths ~root ~r0 ~qdisc:(Netsim.qdisc_of discipline) ?klass ()
+  in
+  let measure = Fabric.measure fabric in
   (* The control loop.  At each update instant: read measured per-gateway
      queue averages over the closing window, form congestion measures and
      bottleneck-combined signals, adjust every rate, reset the window. *)
@@ -172,65 +124,59 @@ let run ~net ~discipline ~style ~signal ~adjusters ~r0 ~interval ~updates ~seed 
       (fun acc a -> acc +. (Network.gateway net a).Network.latency)
       0. paths.(i)
   in
+  let local_positions = Array.init n_conns (Network.local_positions net) in
   let do_update k =
     let now = Sim.now sim in
-    (* Per-gateway measured queue vectors in local connection order. *)
-    let measured_queues =
-      Array.init n_gws (fun a ->
-          Array.map
-            (fun (i, hop) ->
-              Measure.Flat.mean_occupancy flat
-                ~slot:(Measure.Flat.slot flat ~conn:i ~hop)
-                ~now)
-            incidence.(a))
+    (* Per-gateway congestion measures from the measured queue vectors
+       (local connection order). *)
+    let congestion =
+      Array.map
+        (fun conns ->
+          Congestion.measures style
+            (Array.map
+               (fun (i, hop) ->
+                 Measure.mean_occupancy measure
+                   ~slot:(Measure.slot measure ~conn:i ~hop)
+                   ~now)
+               conns))
+        incidence
     in
     let b =
       Array.init n_conns (fun i ->
-          List.fold_left
-            (fun acc a ->
-              let local = Network.local_index net ~conn:i ~gw:a in
-              let measures = Congestion.measures style measured_queues.(a) in
-              Float.max acc (Signal.eval signal measures.(local)))
-            0.
-            (Network.gateways_of_connection net i))
+          let acc = ref 0. in
+          Array.iteri
+            (fun hop a ->
+              acc :=
+                Float.max !acc
+                  (Signal.eval signal congestion.(a).(local_positions.(i).(hop))))
+            paths.(i);
+          !acc)
     in
     let d =
       Array.init n_conns (fun i ->
-          let measured = Measure.Flat.delay_mean flat ~conn:i in
-          if Measure.Flat.delay_count flat ~conn:i > 0 then measured
+          let measured = Measure.delay_mean measure ~conn:i in
+          if Measure.delay_count measure ~conn:i > 0 then measured
           else line_latency i)
     in
     Array.iteri
       (fun i r ->
         let dr = Rate_adjust.eval adjusters.(i) ~r ~b:b.(i) ~d:d.(i) in
         current_rates.(i) <- Float.max 0. (r +. dr);
-        Source.set_rate sources.(i) current_rates.(i))
+        Fabric.set_rate fabric ~conn:i current_rates.(i))
       (Array.copy current_rates);
     refresh_class_tables ();
-    Measure.Flat.reset flat ~now;
+    Measure.reset measure ~now;
     times.(k) <- now;
     rates_log.(k) <- Array.copy current_rates;
     signals_log.(k) <- b
   in
-  for k = 0 to updates - 1 do
-    Sim.run ~until:(float_of_int (k + 1) *. interval) sim;
-    do_update k
-  done;
-  let tail = Stdlib.max 1 (updates / 4) in
-  let mean_tail_rates =
-    Array.init n_conns (fun i ->
-        let acc = ref 0. in
-        for k = updates - tail to updates - 1 do
-          acc := !acc +. rates_log.(k).(i)
-        done;
-        !acc /. float_of_int tail)
-  in
+  drive sim ~interval ~updates do_update;
   {
     times;
     rates = rates_log;
     signals = signals_log;
     final_rates = Array.copy current_rates;
-    mean_tail_rates;
+    mean_tail_rates = tail_mean rates_log ~tail:(Stdlib.max 1 (updates / 4));
   }
 
 type drop_result = {
@@ -252,74 +198,16 @@ let run_drop_tail ~net ~buffer ~adjusters ~r0 ~interval ~updates ~seed () =
   if not (interval > 0.) then
     invalid_arg "Closed_loop.run_drop_tail: interval must be positive";
   if updates <= 0 then invalid_arg "Closed_loop.run_drop_tail: updates must be positive";
-  let sim = Sim.create ~scheduler:(wheel_for net) () in
-  let root_rng = Rng.create seed in
-  let pool = Packet.Pool.create () in
   let current_rates = Array.copy r0 in
   let paths =
     Array.init n_conns (fun i -> Array.of_list (Network.gateways_of_connection net i))
   in
-  let flat = Measure.Flat.create ~paths in
-  let servers = Array.make n_gws None in
-  let server_of a = match servers.(a) with Some s -> s | None -> assert false in
+  let sim, fabric =
+    assemble ~net ~paths ~root:(Rng.create seed) ~r0 ~qdisc:Qdisc.Fifo
+      ~buffer_limit:buffer ()
+  in
+  let measure = Fabric.measure fabric in
   let total_drops = Array.make n_conns 0 in
-  let total_emitted = Array.make n_conns 0 in
-  let inject_at pkt hop =
-    let i = Packet.Pool.conn pool pkt in
-    let a = paths.(i).(hop) in
-    Packet.Pool.set_hop pool pkt hop;
-    Measure.Flat.incr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    Server.inject (server_of a) pkt
-  in
-  let h_forward = Sim.register sim (fun pkt hop -> inject_at pkt hop) in
-  let deliver pkt =
-    let i = Packet.Pool.conn pool pkt in
-    Measure.Flat.record_delay flat ~conn:i (Sim.now sim -. Packet.Pool.born pool pkt);
-    Measure.Flat.count_delivery flat ~conn:i;
-    Packet.Pool.free pool pkt
-  in
-  let h_deliver = Sim.register sim (fun pkt _ -> deliver pkt) in
-  let on_drop pkt =
-    (* The packet never entered this gateway's system: undo the occupancy
-       increment recorded at injection. *)
-    let i = Packet.Pool.conn pool pkt in
-    let hop = Packet.Pool.hop pool pkt in
-    Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    Measure.Flat.count_drop flat ~conn:i;
-    total_drops.(i) <- total_drops.(i) + 1;
-    Packet.Pool.free pool pkt
-  in
-  let on_depart a pkt =
-    let i = Packet.Pool.conn pool pkt in
-    let hop = Packet.Pool.hop pool pkt in
-    Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i ~hop) ~now:(Sim.now sim);
-    let latency = (Network.gateway net a).Network.latency in
-    if hop < Array.length paths.(i) - 1 then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_forward ~a:pkt ~b:(hop + 1)
-    else if latency > 0. then
-      Sim.schedule_code_after sim ~delay:latency ~handler:h_deliver ~a:pkt ~b:0
-    else deliver pkt
-  in
-  for a = 0 to n_gws - 1 do
-    let rng = Rng.split root_rng in
-    servers.(a) <-
-      Some
-        (Server.create ~sim ~rng ~pool
-           ~mu:(Network.gateway net a).Network.mu
-           ~qdisc:Qdisc.Fifo ~buffer_limit:buffer ~on_drop
-           ~on_depart:(on_depart a) ())
-  done;
-  let emit pkt =
-    let i = Packet.Pool.conn pool pkt in
-    total_emitted.(i) <- total_emitted.(i) + 1;
-    inject_at pkt 0
-  in
-  let sources =
-    Array.init n_conns (fun i ->
-        let rng = Rng.split root_rng in
-        Source.create ~sim ~rng ~pool ~conn:i ~rate:r0.(i) ~emit ())
-  in
-  Array.iter Source.start sources;
   let times = Array.make updates 0. in
   let rates_log = Array.make updates [||] in
   let tail = Stdlib.max 1 (updates / 4) in
@@ -329,40 +217,33 @@ let run_drop_tail ~net ~buffer ~adjusters ~r0 ~interval ~updates ~seed () =
     (* Binary implicit signal: any drop in the window sets the "bit". *)
     Array.iteri
       (fun i r ->
-        let b = if Measure.Flat.drops flat ~conn:i > 0 then 1. else 0. in
+        let drops = Measure.drops measure ~conn:i in
+        total_drops.(i) <- total_drops.(i) + drops;
+        let b = if drops > 0 then 1. else 0. in
         let d =
-          if Measure.Flat.delay_count flat ~conn:i > 0 then
-            Measure.Flat.delay_mean flat ~conn:i
+          if Measure.delay_count measure ~conn:i > 0 then
+            Measure.delay_mean measure ~conn:i
           else 1.
         in
         let dr = Rate_adjust.eval adjusters.(i) ~r ~b ~d in
         current_rates.(i) <- Float.max 0. (r +. dr);
-        Source.set_rate sources.(i) current_rates.(i))
+        Fabric.set_rate fabric ~conn:i current_rates.(i))
       (Array.copy current_rates);
     if k >= updates - tail then
       for i = 0 to n_conns - 1 do
-        tail_delivered.(i) <- tail_delivered.(i) + Measure.Flat.deliveries flat ~conn:i
+        tail_delivered.(i) <- tail_delivered.(i) + Measure.deliveries measure ~conn:i
       done;
-    Measure.Flat.reset flat ~now;
+    Measure.reset measure ~now;
     times.(k) <- now;
     rates_log.(k) <- Array.copy current_rates
   in
-  for k = 0 to updates - 1 do
-    Sim.run ~until:(float_of_int (k + 1) *. interval) sim;
-    do_update k
-  done;
-  let dr_mean_tail_rates =
-    Array.init n_conns (fun i ->
-        let acc = ref 0. in
-        for k = updates - tail to updates - 1 do
-          acc := !acc +. rates_log.(k).(i)
-        done;
-        !acc /. float_of_int tail)
-  in
+  (* The last window closes at the last update, so the per-window drop
+     counts sum to the run's total. *)
+  drive sim ~interval ~updates do_update;
   let drop_fraction =
     Array.init n_conns (fun i ->
-        if total_emitted.(i) = 0 then 0.
-        else float_of_int total_drops.(i) /. float_of_int total_emitted.(i))
+        let emitted = Fabric.emitted fabric ~conn:i in
+        if emitted = 0 then 0. else float_of_int total_drops.(i) /. float_of_int emitted)
   in
   let total_mu = ref 0. in
   for a = 0 to n_gws - 1 do
@@ -376,7 +257,7 @@ let run_drop_tail ~net ~buffer ~adjusters ~r0 ~interval ~updates ~seed () =
   {
     dr_times = times;
     dr_rates = rates_log;
-    dr_mean_tail_rates;
+    dr_mean_tail_rates = tail_mean rates_log ~tail;
     drop_fraction;
     mean_utilization = delivered_rate /. !total_mu;
   }

@@ -14,13 +14,17 @@
 
     This removes the two central idealizations at once (instant
     equilibration and noiseless signals) and lets the paper's
-    steady-state predictions be checked against a live system. *)
+    steady-state predictions be checked against a live system.
+
+    Both runners simulate on {!Ffc_desim.Fabric}, the network assembly
+    {!Ffc_desim.Netsim} uses too, with Netsim's Fair Share thinning. *)
 
 open Ffc_numerics
 open Ffc_topology
 open Ffc_core
 
-type discipline = Fifo | Fs_priority | Fair_queueing
+type discipline = Ffc_desim.Netsim.discipline = Fifo | Fs_priority | Fair_queueing
+(** Netsim's packet disciplines, re-exported. *)
 
 type result = {
   times : float array;  (** Update instants. *)

@@ -9,7 +9,7 @@ open Ffc_numerics
 open Ffc_queueing
 open Ffc_topology
 
-type config = {
+type config = private {
   style : Congestion.style;
   signal : Signal.t;
   discipline : Service.t;

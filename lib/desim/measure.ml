@@ -1,199 +1,78 @@
 open Ffc_numerics
 
-type occ = {
-  mutable level : int;
-  mutable window_start : float;
-  mutable last_change : float;
-  mutable integral : float;
-}
-
 type t = {
-  occs : (int * int, occ) Hashtbl.t;
-  delays : (int, Stats.running) Hashtbl.t;
-  delivered : (int, int ref) Hashtbl.t;
-  dropped : (int, int ref) Hashtbl.t;
+  offsets : int array;  (** conn -> first slot; length n_conns + 1. *)
+  level : int array;
+  last : float array;
+  integral : float array;
+  mutable window_start : float;
+  delays : Stats.running array;
+  delivered : int array;
+  dropped : int array;
 }
 
-let create () =
+let create ~paths =
+  let n = Array.length paths in
+  let offsets = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    offsets.(i + 1) <- offsets.(i) + Array.length paths.(i)
+  done;
+  let slots = offsets.(n) in
   {
-    occs = Hashtbl.create 32;
-    delays = Hashtbl.create 8;
-    delivered = Hashtbl.create 8;
-    dropped = Hashtbl.create 8;
+    offsets;
+    level = Array.make slots 0;
+    last = Array.make slots 0.;
+    integral = Array.make slots 0.;
+    window_start = 0.;
+    delays = Array.init n (fun _ -> Stats.running_create ());
+    delivered = Array.make n 0;
+    dropped = Array.make n 0;
   }
 
-let occ t key now =
-  match Hashtbl.find_opt t.occs key with
-  | Some o -> o
-  | None ->
-    let o = { level = 0; window_start = now; last_change = now; integral = 0. } in
-    Hashtbl.add t.occs key o;
-    o
+let[@inline] slot t ~conn ~hop = t.offsets.(conn) + hop
 
-let advance o ~now =
-  if now < o.last_change then invalid_arg "Measure: time went backwards";
-  o.integral <- o.integral +. (float_of_int o.level *. (now -. o.last_change));
-  o.last_change <- now
+let[@inline] advance t s ~now =
+  t.integral.(s) <- t.integral.(s) +. (float_of_int t.level.(s) *. (now -. t.last.(s)));
+  t.last.(s) <- now
 
-let incr t ~key ~now =
-  let o = occ t key now in
-  advance o ~now;
-  o.level <- o.level + 1
+let incr t ~slot ~now =
+  advance t slot ~now;
+  t.level.(slot) <- t.level.(slot) + 1
 
-let decr t ~key ~now =
-  let o = occ t key now in
-  advance o ~now;
-  if o.level <= 0 then invalid_arg "Measure.decr: occupancy would go negative";
-  o.level <- o.level - 1
+let decr t ~slot ~now =
+  advance t slot ~now;
+  if t.level.(slot) <= 0 then invalid_arg "Measure.decr: occupancy would go negative";
+  t.level.(slot) <- t.level.(slot) - 1
 
-let occupancy t ~key =
-  match Hashtbl.find_opt t.occs key with Some o -> o.level | None -> 0
+let occupancy t ~slot = t.level.(slot)
 
-let mean_occupancy t ~key ~now =
-  match Hashtbl.find_opt t.occs key with
-  | None -> 0.
-  | Some o ->
-    let span = now -. o.window_start in
-    if span <= 0. then 0.
-    else begin
-      let total = o.integral +. (float_of_int o.level *. (now -. o.last_change)) in
-      total /. span
-    end
+let mean_occupancy t ~slot ~now =
+  let span = now -. t.window_start in
+  if span <= 0. then 0.
+  else begin
+    let total =
+      t.integral.(slot) +. (float_of_int t.level.(slot) *. (now -. t.last.(slot)))
+    in
+    total /. span
+  end
 
 let reset t ~now =
-  Hashtbl.iter
-    (fun _ o ->
-      o.window_start <- now;
-      o.last_change <- now;
-      o.integral <- 0.)
-    t.occs;
-  Hashtbl.reset t.delays;
-  Hashtbl.reset t.delivered;
-  Hashtbl.reset t.dropped
+  t.window_start <- now;
+  Array.fill t.integral 0 (Array.length t.integral) 0.;
+  Array.fill t.last 0 (Array.length t.last) now;
+  Array.fill t.delivered 0 (Array.length t.delivered) 0;
+  Array.fill t.dropped 0 (Array.length t.dropped) 0;
+  for i = 0 to Array.length t.delays - 1 do
+    t.delays.(i) <- Stats.running_create ()
+  done
 
-let delay_acc t conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> acc
-  | None ->
-    let acc = Stats.running_create () in
-    Hashtbl.add t.delays conn acc;
-    acc
+let record_delay t ~conn d = Stats.running_add t.delays.(conn) d
+let delay_mean t ~conn = Stats.running_mean t.delays.(conn)
+let delay_ci95 t ~conn = Stats.running_ci95_halfwidth t.delays.(conn)
+let delay_count t ~conn = Stats.running_count t.delays.(conn)
 
-let record_delay t ~conn d = Stats.running_add (delay_acc t conn) d
+let[@inline] count_delivery t ~conn = t.delivered.(conn) <- t.delivered.(conn) + 1
+let deliveries t ~conn = t.delivered.(conn)
 
-let delay_mean t ~conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> Stats.running_mean acc
-  | None -> 0.
-
-let delay_ci95 t ~conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> Stats.running_ci95_halfwidth acc
-  | None -> 0.
-
-let delay_count t ~conn =
-  match Hashtbl.find_opt t.delays conn with
-  | Some acc -> Stats.running_count acc
-  | None -> 0
-
-let count_delivery t ~conn =
-  match Hashtbl.find_opt t.delivered conn with
-  | Some r -> r := !r + 1
-  | None -> Hashtbl.add t.delivered conn (ref 1)
-
-let deliveries t ~conn =
-  match Hashtbl.find_opt t.delivered conn with Some r -> !r | None -> 0
-
-let count_drop t ~conn =
-  match Hashtbl.find_opt t.dropped conn with
-  | Some r -> r := !r + 1
-  | None -> Hashtbl.add t.dropped conn (ref 1)
-
-let drops t ~conn =
-  match Hashtbl.find_opt t.dropped conn with Some r -> !r | None -> 0
-
-module Flat = struct
-  type t = {
-    offsets : int array;  (** conn -> first slot; length n_conns + 1. *)
-    level : int array;
-    last : float array;
-    integral : float array;
-    mutable window_start : float;
-    delays : Stats.running array;
-    delivered : int array;
-    dropped : int array;
-  }
-
-  let create ~paths =
-    let n = Array.length paths in
-    let offsets = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      offsets.(i + 1) <- offsets.(i) + Array.length paths.(i)
-    done;
-    let slots = offsets.(n) in
-    {
-      offsets;
-      level = Array.make slots 0;
-      last = Array.make slots 0.;
-      integral = Array.make slots 0.;
-      window_start = 0.;
-      delays = Array.init n (fun _ -> Stats.running_create ());
-      delivered = Array.make n 0;
-      dropped = Array.make n 0;
-    }
-
-  let[@inline] slot t ~conn ~hop = t.offsets.(conn) + hop
-
-  let num_conns t = Array.length t.delivered
-  let num_slots t = Array.length t.level
-
-  let[@inline] advance t s ~now =
-    t.integral.(s) <- t.integral.(s) +. (float_of_int t.level.(s) *. (now -. t.last.(s)));
-    t.last.(s) <- now
-
-  let incr t ~slot ~now =
-    advance t slot ~now;
-    t.level.(slot) <- t.level.(slot) + 1
-
-  let decr t ~slot ~now =
-    advance t slot ~now;
-    if t.level.(slot) <= 0 then
-      invalid_arg "Measure.Flat.decr: occupancy would go negative";
-    t.level.(slot) <- t.level.(slot) - 1
-
-  let occupancy t ~slot = t.level.(slot)
-
-  let mean_occupancy t ~slot ~now =
-    let span = now -. t.window_start in
-    if span <= 0. then 0.
-    else begin
-      let total =
-        t.integral.(slot) +. (float_of_int t.level.(slot) *. (now -. t.last.(slot)))
-      in
-      total /. span
-    end
-
-  let reset t ~now =
-    t.window_start <- now;
-    Array.fill t.integral 0 (Array.length t.integral) 0.;
-    Array.fill t.last 0 (Array.length t.last) now;
-    Array.fill t.delivered 0 (Array.length t.delivered) 0;
-    Array.fill t.dropped 0 (Array.length t.dropped) 0;
-    for i = 0 to Array.length t.delays - 1 do
-      t.delays.(i) <- Stats.running_create ()
-    done
-
-  let record_delay t ~conn d = Stats.running_add t.delays.(conn) d
-  let delay_mean t ~conn = Stats.running_mean t.delays.(conn)
-  let delay_ci95 t ~conn = Stats.running_ci95_halfwidth t.delays.(conn)
-  let delay_count t ~conn = Stats.running_count t.delays.(conn)
-  let delay_stats t ~conn = t.delays.(conn)
-
-  let[@inline] count_delivery t ~conn =
-    t.delivered.(conn) <- t.delivered.(conn) + 1
-
-  let deliveries t ~conn = t.delivered.(conn)
-
-  let[@inline] count_drop t ~conn = t.dropped.(conn) <- t.dropped.(conn) + 1
-  let drops t ~conn = t.dropped.(conn)
-end
+let[@inline] count_drop t ~conn = t.dropped.(conn) <- t.dropped.(conn) + 1
+let drops t ~conn = t.dropped.(conn)

@@ -3,11 +3,6 @@ open Ffc_topology
 
 type discipline = Fifo | Fs_priority | Fair_queueing
 
-(* Fair Share thinning: for a connection with rate [r] at a gateway whose
-   local sorted rates produce level increments [incr], the packet belongs
-   to level j with probability incr.(j)/r for each level the connection
-   participates in (those with threshold <= r).  Precomputes the
-   cumulative distribution as (class, cumulative rate) pairs. *)
 let fs_class_table ~local_rates ~rate =
   if rate <= 0. then [||]
   else begin
@@ -49,7 +44,7 @@ type result = {
   paths : int array array;  (** Global gateway paths per connection. *)
   conn_shard : int array;
   conn_local : int array;
-  flats : Measure.Flat.t array;  (** Per shard, locally indexed. *)
+  measures : Measure.t array;  (** Per shard, locally indexed. *)
   total_events : int;
   n_components : int;
 }
@@ -69,7 +64,7 @@ type shard_plan = {
 }
 
 type shard_out = {
-  so_flat : Measure.Flat.t;
+  so_measure : Measure.t;
   so_events : int;
   so_injections : int;
   so_hist : Ffc_obs.Metrics.Histogram.Local.t option;
@@ -227,11 +222,14 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
       Some (Ffc_obs.Metrics.histogram (Ffc_obs.Ctx.metrics c) "desim.delay")
     | None -> None
   in
-  let fs = discipline = Fs_priority in
   let run_shard (p : shard_plan) =
-    let n_l = Array.length p.sp_conns in
-    let flat = Measure.Flat.create ~paths:p.sp_paths in
-    if n_l = 0 then { so_flat = flat; so_events = 0; so_injections = 0; so_hist = None }
+    if Array.length p.sp_conns = 0 then
+      {
+        so_measure = Measure.create ~paths:[||];
+        so_events = 0;
+        so_injections = 0;
+        so_hist = None;
+      }
     else begin
       let sim =
         Sim.create
@@ -240,7 +238,6 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
                { tick = Scheduler.auto_tick ~events_per_time:p.sp_events_per_time })
           ()
       in
-      let pool = Packet.Pool.create ~initial:1024 () in
       let trc = Ffc_obs.Ctx.tracing () in
       (* Per-shard local tally (Histogram.Local): zero-sync observes in
          the event loop, one bulk flush into the shared histogram at
@@ -248,89 +245,56 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
       let local_delays =
         Option.map Ffc_obs.Metrics.Histogram.Local.create delay_hist
       in
-      let injections = ref 0 in
       (* Per-component delivery trace buffers — flushed in component
          order at the end so the trace stream is independent of how
          components were grouped into shards. *)
       let trace_buf = Array.make p.sp_n_comps [] in
       let trace_ord = Array.make p.sp_n_comps 0 in
-      let servers = Array.make (Array.length p.sp_gws) None in
-      let server_of a_l =
-        match servers.(a_l) with Some s -> s | None -> assert false
+      let on_deliver =
+        if Option.is_none local_delays && Option.is_none trc then None
+        else
+          Some
+            (fun i_l delay ->
+              (match local_delays with
+              | Some l -> Ffc_obs.Metrics.Histogram.Local.observe l delay
+              | None -> ());
+              match trc with
+              | Some c ->
+                (* Stride sampling on the component's own delivery
+                   ordinal — deterministic and sharding-independent. *)
+                let comp = p.sp_comp.(i_l) in
+                trace_ord.(comp) <- trace_ord.(comp) + 1;
+                if Ffc_obs.Ctx.sample c trace_ord.(comp) then
+                  trace_buf.(comp) <-
+                    Ffc_obs.Event.desim_delivery ~time:(Sim.now sim)
+                      ~conn:p.sp_conns.(i_l) ~delay
+                    :: trace_buf.(comp)
+              | None -> ())
       in
-      let latency = Array.map (fun a -> (Network.gateway net a).Network.latency) p.sp_gws in
-      let inject_at pkt hop =
-        let i_l = Packet.Pool.conn pool pkt in
-        let a_l = p.sp_paths.(i_l).(hop) in
-        Packet.Pool.set_hop pool pkt hop;
-        (if fs then
-           let table = p.sp_tables.(i_l).(hop) in
-           Packet.Pool.set_klass pool pkt
-             (draw_fs_class table class_rngs.(p.sp_gws.(a_l)) ~rate:p.sp_rates.(i_l)));
-        incr injections;
-        Measure.Flat.incr flat ~slot:(Measure.Flat.slot flat ~conn:i_l ~hop) ~now:(Sim.now sim);
-        Server.inject (server_of a_l) pkt
+      let klass =
+        if discipline <> Fs_priority then None
+        else
+          Some
+            (fun i_l hop ->
+              draw_fs_class p.sp_tables.(i_l).(hop)
+                class_rngs.(p.sp_gws.(p.sp_paths.(i_l).(hop)))
+                ~rate:p.sp_rates.(i_l))
       in
-      let h_forward = Sim.register sim (fun pkt hop -> inject_at pkt hop) in
-      let deliver pkt =
-        let i_l = Packet.Pool.conn pool pkt in
-        let delay = Sim.now sim -. Packet.Pool.born pool pkt in
-        Measure.Flat.record_delay flat ~conn:i_l delay;
-        Measure.Flat.count_delivery flat ~conn:i_l;
-        (match local_delays with
-        | Some l -> Ffc_obs.Metrics.Histogram.Local.observe l delay
-        | None -> ());
-        (match trc with
-        | Some c ->
-          (* Stride sampling on the component's own delivery ordinal —
-             deterministic and sharding-independent. *)
-          let comp = p.sp_comp.(i_l) in
-          trace_ord.(comp) <- trace_ord.(comp) + 1;
-          if Ffc_obs.Ctx.sample c trace_ord.(comp) then
-            trace_buf.(comp) <-
-              Ffc_obs.Event.desim_delivery ~time:(Sim.now sim) ~conn:p.sp_conns.(i_l)
-                ~delay
-              :: trace_buf.(comp)
-        | None -> ());
-        Packet.Pool.free pool pkt
+      let fabric =
+        Fabric.create ~sim
+          ~gateways:(Array.map (Network.gateway net) p.sp_gws)
+          ~paths:p.sp_paths ~rates:p.sp_rates ~qdisc:(qdisc_of discipline) ?buffer_limit
+          ~server_rng:(fun a -> server_rngs.(p.sp_gws.(a)))
+          ~source_rng:(fun i -> source_rngs.(p.sp_conns.(i)))
+          ?klass ?on_deliver ()
       in
-      let h_deliver = Sim.register sim (fun pkt _ -> deliver pkt) in
-      let on_depart a_l pkt =
-        let i_l = Packet.Pool.conn pool pkt in
-        let hop = Packet.Pool.hop pool pkt in
-        Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i_l ~hop) ~now:(Sim.now sim);
-        let lat = latency.(a_l) in
-        if hop < Array.length p.sp_paths.(i_l) - 1 then
-          Sim.schedule_code_after sim ~delay:lat ~handler:h_forward ~a:pkt ~b:(hop + 1)
-        else if lat > 0. then
-          Sim.schedule_code_after sim ~delay:lat ~handler:h_deliver ~a:pkt ~b:0
-        else deliver pkt
-      in
-      let on_drop pkt =
-        let i_l = Packet.Pool.conn pool pkt in
-        let hop = Packet.Pool.hop pool pkt in
-        Measure.Flat.decr flat ~slot:(Measure.Flat.slot flat ~conn:i_l ~hop) ~now:(Sim.now sim);
-        Measure.Flat.count_drop flat ~conn:i_l;
-        Packet.Pool.free pool pkt
-      in
-      Array.iteri
-        (fun a_l a ->
-          servers.(a_l) <-
-            Some
-              (Server.create ~sim ~rng:server_rngs.(a) ~pool
-                 ~mu:(Network.gateway net a).Network.mu
-                 ~qdisc:(qdisc_of discipline) ?buffer_limit ~on_drop
-                 ~on_depart:(on_depart a_l) ()))
-        p.sp_gws;
-      let emit pkt = inject_at pkt 0 in
-      let sources =
-        Array.init n_l (fun i_l ->
-            Source.create ~sim ~rng:source_rngs.(p.sp_conns.(i_l)) ~pool ~conn:i_l
-              ~rate:p.sp_rates.(i_l) ~emit ())
-      in
-      Array.iter Source.start sources;
+      let measure = Fabric.measure fabric in
+      (* Scheduled after every source's first arrival, as one event the
+         event count leaves out. *)
       if warmup > 0. then
-        Sim.schedule sim ~at:warmup (fun () -> Measure.Flat.reset flat ~now:warmup);
+        Sim.schedule_code sim ~at:warmup
+          ~handler:(Sim.register sim (fun _ _ -> Measure.reset measure ~now:warmup))
+          ~a:0 ~b:0;
       Sim.run ~until:horizon sim;
       (match trc with
       | Some c ->
@@ -339,9 +303,9 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
         done
       | None -> ());
       {
-        so_flat = flat;
+        so_measure = measure;
         so_events = Sim.events sim - (if warmup > 0. then 1 else 0);
-        so_injections = !injections;
+        so_injections = Fabric.injections fabric;
         so_hist = local_delays;
       }
     end
@@ -361,7 +325,7 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
   let jobs = Pool.effective_jobs ?jobs () |> min shards in
   let outs = Pool.parallel_map ~jobs simulate plans in
   let total_events = Array.fold_left (fun acc o -> acc + o.so_events) 0 outs in
-  let flats = Array.map (fun o -> o.so_flat) outs in
+  let measures = Array.map (fun o -> o.so_measure) outs in
   (* Deterministic merge of the observability tallies (main domain). *)
   (match Ffc_obs.Ctx.ambient () with
   | Some c ->
@@ -371,9 +335,9 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
     add "desim.events" total_events;
     let delivered = ref 0 and dropped = ref 0 in
     for i = 0 to n_conns - 1 do
-      let f = flats.(conn_shard.(i)) in
-      delivered := !delivered + Measure.Flat.deliveries f ~conn:conn_local.(i);
-      dropped := !dropped + Measure.Flat.drops f ~conn:conn_local.(i)
+      let f = measures.(conn_shard.(i)) in
+      delivered := !delivered + Measure.deliveries f ~conn:conn_local.(i);
+      dropped := !dropped + Measure.drops f ~conn:conn_local.(i)
     done;
     add "desim.deliveries" !delivered;
     add "desim.drops" !dropped;
@@ -388,7 +352,7 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
     let window = horizon -. warmup in
     for i = 0 to n_conns - 1 do
       let deliveries =
-        Measure.Flat.deliveries flats.(conn_shard.(i)) ~conn:conn_local.(i)
+        Measure.deliveries measures.(conn_shard.(i)) ~conn:conn_local.(i)
       in
       Ffc_obs.Ctx.emit c
         (Ffc_obs.Event.desim_summary ~conn:i ~deliveries
@@ -402,7 +366,7 @@ let run ~net ~rates ~discipline ~seed ?warmup ?(shards = 1) ?jobs ?buffer_limit 
     paths;
     conn_shard;
     conn_local;
-    flats;
+    measures;
     total_events;
     n_components = n_comps;
   }
@@ -417,9 +381,9 @@ let mean_queue r ~gw ~conn =
   let hop = hop_of r ~gw ~conn in
   if hop < 0 then 0.
   else begin
-    let f = r.flats.(r.conn_shard.(conn)) in
-    Measure.Flat.mean_occupancy f
-      ~slot:(Measure.Flat.slot f ~conn:r.conn_local.(conn) ~hop)
+    let f = r.measures.(r.conn_shard.(conn)) in
+    Measure.mean_occupancy f
+      ~slot:(Measure.slot f ~conn:r.conn_local.(conn) ~hop)
       ~now:r.horizon
   end
 
@@ -430,16 +394,16 @@ let total_mean_queue r ~gw =
     (Network.connections_at_gateway r.net gw)
 
 let delay_mean r ~conn =
-  Measure.Flat.delay_mean r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.delay_mean r.measures.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
 
 let delay_ci95 r ~conn =
-  Measure.Flat.delay_ci95 r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.delay_ci95 r.measures.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
 
 let deliveries r ~conn =
-  Measure.Flat.deliveries r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.deliveries r.measures.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
 
 let drops r ~conn =
-  Measure.Flat.drops r.flats.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
+  Measure.drops r.measures.(r.conn_shard.(conn)) ~conn:r.conn_local.(conn)
 
 let throughput r ~conn = float_of_int (deliveries r ~conn) /. r.window
 

@@ -33,6 +33,20 @@ type discipline =
   | Fs_priority  (** Fair Share: thinning + preemptive priority. *)
   | Fair_queueing  (** Bid-based Demers–Keshav–Shenker fair queueing. *)
 
+val qdisc_of : discipline -> Qdisc.t
+(** The gateway queue discipline a packet discipline runs on. *)
+
+val fs_class_table : local_rates:float array -> rate:float -> (int * float) array
+(** Fair Share thinning at one gateway: a packet of a connection sending
+    at [rate], among the gateway's [local_rates], belongs to priority
+    level [j] with probability (level [j]'s rate increment)/[rate], for
+    each level whose threshold is at most [rate].  The table lists those
+    levels with their cumulative rates; it is empty when [rate <= 0]. *)
+
+val draw_fs_class : (int * float) array -> Ffc_numerics.Rng.t -> rate:float -> int
+(** Draws one packet's level from a {!fs_class_table} (one uniform draw,
+    also for an empty table, which gives level 0). *)
+
 type result
 
 val run :

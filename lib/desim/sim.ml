@@ -3,47 +3,25 @@ type t = {
   mutable clock : float;
   mutable handlers : (int -> int -> unit) array;
   mutable n_handlers : int;
-  (* Slot table for the thunk-compatibility path (handler 0): each
-     scheduled thunk parks in a recycled slot addressed by the event's
-     [a] argument. *)
-  mutable thunks : (unit -> unit) array;
-  mutable thunk_free : int list;
-  mutable n_thunks : int;
   mutable events : int;
 }
-
-let no_thunk () = ()
 
 let default_scheduler = Scheduler.Wheel { tick = 0.015625 }
 
 let create ?(scheduler = default_scheduler) () =
-  let t =
-    {
-      sched = Scheduler.create scheduler;
-      clock = 0.;
-      handlers = Array.make 8 (fun _ _ -> ());
-      n_handlers = 0;
-      thunks = Array.make 8 no_thunk;
-      thunk_free = [];
-      n_thunks = 0;
-      events = 0;
-    }
-  in
-  (* Handler 0: run and release the thunk in slot [a]. *)
-  t.handlers.(0) <-
-    (fun a _ ->
-      let f = t.thunks.(a) in
-      t.thunks.(a) <- no_thunk;
-      t.thunk_free <- a :: t.thunk_free;
-      f ());
-  t.n_handlers <- 1;
-  t
+  {
+    sched = Scheduler.create scheduler;
+    clock = 0.;
+    handlers = Array.make 8 (fun _ _ -> ());
+    n_handlers = 0;
+    events = 0;
+  }
 
 let now t = t.clock
 
 let register t f =
   if t.n_handlers = Array.length t.handlers then begin
-    let bigger = Array.make (2 * t.n_handlers) t.handlers.(0) in
+    let bigger = Array.make (2 * t.n_handlers) f in
     Array.blit t.handlers 0 bigger 0 t.n_handlers;
     t.handlers <- bigger
   end;
@@ -60,31 +38,6 @@ let schedule_code_after t ~delay ~handler ~a ~b =
   if (not (Float.is_finite delay)) || delay < 0. then
     invalid_arg "Sim.schedule_after: bad delay";
   schedule_code t ~at:(t.clock +. delay) ~handler ~a ~b
-
-let schedule t ~at thunk =
-  if not (Float.is_finite at) then invalid_arg "Sim.schedule: non-finite time";
-  if at < t.clock then invalid_arg "Sim.schedule: time in the past";
-  let slot =
-    match t.thunk_free with
-    | s :: rest ->
-      t.thunk_free <- rest;
-      s
-    | [] ->
-      if t.n_thunks = Array.length t.thunks then begin
-        let bigger = Array.make (2 * t.n_thunks) no_thunk in
-        Array.blit t.thunks 0 bigger 0 t.n_thunks;
-        t.thunks <- bigger
-      end;
-      t.n_thunks <- t.n_thunks + 1;
-      t.n_thunks - 1
-  in
-  t.thunks.(slot) <- thunk;
-  Scheduler.schedule t.sched ~time:at ~handler:0 ~a:slot ~b:0
-
-let schedule_after t ~delay thunk =
-  if (not (Float.is_finite delay)) || delay < 0. then
-    invalid_arg "Sim.schedule_after: bad delay";
-  schedule t ~at:(t.clock +. delay) thunk
 
 let step t =
   if Scheduler.pop t.sched then begin

@@ -4,14 +4,9 @@
     executing an event may schedule further events.  Time never flows
     backwards.
 
-    Two scheduling APIs share one calendar:
-
-    - {!schedule}/{!schedule_after} take a thunk — the convenient form
-      for setup and tests; each call boxes one closure.
-    - {!register} + {!schedule_code} is the allocation-free hot path:
-      an entity registers its handler once at construction and then
-      schedules coded events [(handler, a, b)] — no closure and (with
-      the timing-wheel scheduler) no heap node per event.
+    An entity registers its handler once at construction and then
+    schedules coded events [(handler, a, b)] — no closure and no heap
+    node per event.
 
     The calendar is the O(1)-amortized timing wheel ({!Scheduler});
     only its tick width is configurable, and it never changes results. *)
@@ -33,12 +28,6 @@ val schedule_code : t -> at:float -> handler:int -> a:int -> b:int -> unit
     [Invalid_argument] when [at] is in the past or non-finite. *)
 
 val schedule_code_after : t -> delay:float -> handler:int -> a:int -> b:int -> unit
-(** [delay] must be non-negative and finite. *)
-
-val schedule : t -> at:float -> (unit -> unit) -> unit
-(** Raises [Invalid_argument] when [at] is in the past or non-finite. *)
-
-val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 (** [delay] must be non-negative and finite. *)
 
 val step : t -> bool

@@ -116,15 +116,6 @@ let approx_equal ?(tol = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol) a.data b.data
 
-let is_lower_triangular ?(tol = 1e-9) m =
-  let ok = ref true in
-  for i = 0 to m.rows - 1 do
-    for j = i + 1 to m.cols - 1 do
-      if Float.abs (get m i j) > tol then ok := false
-    done
-  done;
-  !ok
-
 let permute_rows_cols m p =
   if m.rows <> m.cols then invalid_arg "Mat.permute_rows_cols: not square";
   if Array.length p <> m.rows then
@@ -200,29 +191,6 @@ let solve a b =
   match lu a with
   | None -> None
   | Some (f, perm, _) -> Some (lu_solve (f, perm) b)
-
-(* Sherman-Morrison: (A + u v^T)^-1 b = y - (v.y / (1 + v.z)) z with
-   y = A^-1 b and z = A^-1 u — two substitutions against one LU
-   factorization instead of refactoring the perturbed matrix.  This is
-   the solve-side companion of the rank-1 Jacobian updates: a single
-   flow's join/leave perturbs DF by a few rows, and solves against
-   I - DF can absorb each rank-1 piece at O(N^2). *)
-let solve_rank1 a ~u ~v b =
-  if a.rows <> a.cols then invalid_arg "Mat.solve_rank1: not square";
-  if Array.length u <> a.rows || Array.length v <> a.rows
-     || Array.length b <> a.rows
-  then invalid_arg "Mat.solve_rank1: dimension mismatch";
-  match lu a with
-  | None -> None
-  | Some (f, perm, _) ->
-    let y = lu_solve (f, perm) b in
-    let z = lu_solve (f, perm) u in
-    let denom = 1. +. Vec.dot v z in
-    if Float.abs denom < 1e-300 then None
-    else begin
-      let c = Vec.dot v y /. denom in
-      Some (Array.init a.rows (fun i -> y.(i) -. (c *. z.(i))))
-    end
 
 let det m =
   match lu m with

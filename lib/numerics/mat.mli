@@ -3,10 +3,8 @@
 
     Provides the small-matrix linear algebra needed by the stability
     analysis: products, LU factorization with partial pivoting, linear
-    solves (including the Sherman-Morrison rank-1 update
-    {!solve_rank1}), determinants, inverses, and structural predicates
-    (triangularity) used to verify Theorem 4's triangular stability
-    matrix.
+    solves, determinants, inverses, and the simultaneous row/column
+    permutation used to check Theorem 4's triangular stability matrix.
 
     {b Zero-dimension contract.}  Every constructor in this module —
     [create], [init], [of_arrays], [of_flat], and the {!Sparse}
@@ -79,10 +77,6 @@ val frobenius_norm : t -> float
 
 val approx_equal : ?tol:float -> t -> t -> bool
 
-val is_lower_triangular : ?tol:float -> t -> bool
-(** True when all entries strictly above the diagonal have absolute value
-    at most [tol] (default [1e-9]). *)
-
 val permute_rows_cols : t -> int array -> t
 (** [permute_rows_cols m p] is the matrix with entry [(i, j)] equal to
     [m(p.(i), p.(j))] — simultaneous row/column permutation, used to test
@@ -95,14 +89,6 @@ val lu : t -> (t * int array * int) option
 
 val solve : t -> Vec.t -> Vec.t option
 (** [solve a b] solves [a x = b] for square [a]; [None] when singular. *)
-
-val solve_rank1 : t -> u:Vec.t -> v:Vec.t -> Vec.t -> Vec.t option
-(** [solve_rank1 a ~u ~v b] solves [(a + u v^T) x = b] by the
-    Sherman-Morrison identity: one LU factorization of [a] and two
-    substitutions instead of refactoring the perturbed matrix — the
-    solve-side kernel for rank-1 flow-churn updates.  [None] when [a]
-    is singular or the update makes the system singular
-    ([1 + v^T a^-1 u ~ 0]). *)
 
 val det : t -> float
 

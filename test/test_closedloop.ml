@@ -225,7 +225,7 @@ let test_no_buffer_limit_never_drops () =
   Alcotest.(check int) "infinite buffer never drops" 0 !drops
 
 let test_measure_drops () =
-  let m = Measure.create () in
+  let m = Measure.create ~paths:(Array.make 3 [| 0 |]) in
   Measure.count_drop m ~conn:2;
   Measure.count_drop m ~conn:2;
   Alcotest.(check int) "two drops" 2 (Measure.drops m ~conn:2);
@@ -257,6 +257,118 @@ let test_drop_tail_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-commit bit pins                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of the IEEE-754 bits of every reported value.  The constants were
+   recorded before the packet-network assembly was shared between
+   Netsim and the closed loop; a changed RNG split, event order or
+   measurement window moves them, which the same-build determinism
+   cases above cannot notice. *)
+let bits_digest (floats : float list) (ints : int list) =
+  let b = Buffer.create 1024 in
+  List.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) floats;
+  List.iter (fun i -> Buffer.add_int64_le b (Int64.of_int i)) ints;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let flat_rows rows = List.concat_map Array.to_list (Array.to_list rows)
+
+let test_pin_netsim () =
+  (* Fair Share on multi-hop lots with line latency, a warmup and a
+     buffer limit that drops. *)
+  let net = Topologies.multi_parking_lot ~mu:1. ~latency:0.1 ~lots:4 ~hops:3 () in
+  let n = Network.num_connections net in
+  let rates = Array.init n (fun i -> 0.2 +. (0.07 *. float_of_int (i mod 4))) in
+  let digest shards =
+    let r =
+      Netsim.run ~net ~rates ~discipline:Netsim.Fs_priority ~seed:17 ~warmup:25.
+        ~shards ~jobs:shards ~buffer_limit:4 ~horizon:400. ()
+    in
+    let per_conn f = List.init n (fun i -> f i) in
+    let queues =
+      List.concat
+        (List.init (Network.num_gateways net) (fun a ->
+             Netsim.total_mean_queue r ~gw:a
+             :: per_conn (fun i -> Netsim.mean_queue r ~gw:a ~conn:i)))
+    in
+    let drops = per_conn (fun i -> Netsim.drops r ~conn:i) in
+    check_true "the buffer limit drops" (List.exists (fun d -> d > 0) drops);
+    bits_digest
+      (List.concat
+         [
+           queues;
+           per_conn (fun i -> Netsim.delay_mean r ~conn:i);
+           per_conn (fun i -> Netsim.delay_ci95 r ~conn:i);
+           per_conn (fun i -> Netsim.throughput r ~conn:i);
+           [ Netsim.window r ];
+         ])
+      (List.concat
+         [
+           per_conn (fun i -> Netsim.deliveries r ~conn:i);
+           drops;
+           [ Netsim.events r; Netsim.components r ];
+         ])
+  in
+  let pinned = "96e2e7c20071830cb29ac648decca735" in
+  Alcotest.(check string) "shards=1" pinned (digest 1);
+  Alcotest.(check string) "shards=3" pinned (digest 3)
+
+let pin_net () = Topologies.parking_lot ~mu:1. ~latency:0.05 ~hops:2 ()
+
+let test_pin_closed_loop () =
+  let net = pin_net () in
+  let n = Network.num_connections net in
+  let digest discipline =
+    let r =
+      Closed_loop.run ~net ~discipline ~style:Congestion.Individual ~signal
+        ~adjusters:(Array.make n Scenario.standard_adjuster)
+        ~r0:(Array.init n (fun i -> 0.1 +. (0.05 *. float_of_int i)))
+        ~interval:60. ~updates:12 ~seed:23 ()
+    in
+    bits_digest
+      (List.concat
+         [
+           Array.to_list r.Closed_loop.times;
+           flat_rows r.Closed_loop.rates;
+           flat_rows r.Closed_loop.signals;
+           Array.to_list r.Closed_loop.final_rates;
+           Array.to_list r.Closed_loop.mean_tail_rates;
+         ])
+      []
+  in
+  List.iter
+    (fun (name, discipline, pinned) ->
+      Alcotest.(check string) name pinned (digest discipline))
+    [
+      ("fifo", Closed_loop.Fifo, "d12ea294adb5aa85adf19cf74db0444f");
+      ("fair-share", Closed_loop.Fs_priority, "8b739b69208a187bd7f83d148fdaa0a4");
+      ("fair-queueing", Closed_loop.Fair_queueing, "ccd99ba1c63b81d76b3958fd1ccb3928");
+    ]
+
+let test_pin_drop_tail () =
+  let net = pin_net () in
+  let n = Network.num_connections net in
+  let r =
+    Closed_loop.run_drop_tail ~net ~buffer:3
+      ~adjusters:(Array.make n (Rate_adjust.aimd ~increase:0.02 ~decrease:0.3))
+      ~r0:(Array.init n (fun i -> 0.3 +. (0.1 *. float_of_int i)))
+      ~interval:60. ~updates:12 ~seed:29 ()
+  in
+  check_true "drop-tail drops"
+    (Array.exists (fun f -> f > 0.) r.Closed_loop.drop_fraction);
+  Alcotest.(check string) "drop-tail" "2c1a19726a314bfd78efa2137ec52030"
+    (bits_digest
+       (List.concat
+          [
+            Array.to_list r.Closed_loop.dr_times;
+            flat_rows r.Closed_loop.dr_rates;
+            Array.to_list r.Closed_loop.dr_mean_tail_rates;
+            Array.to_list r.Closed_loop.drop_fraction;
+            [ r.Closed_loop.mean_utilization ];
+          ])
+       [])
+
 let suites =
   [
     ( "closedloop",
@@ -278,5 +390,11 @@ let suites =
         case "measure drop counters" test_measure_drops;
         case "drop-driven AIMD controls congestion" test_drop_tail_loop_controls_congestion;
         case "drop-tail validation" test_drop_tail_validation;
+      ] );
+    ( "desim.pins",
+      [
+        case "netsim digest" test_pin_netsim;
+        case "closed-loop digest" test_pin_closed_loop;
+        case "drop-tail digest" test_pin_drop_tail;
       ] );
   ]

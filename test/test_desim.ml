@@ -109,32 +109,37 @@ let test_heap_shrinks_when_quarter_full () =
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.schedule sim ~at:2. (fun () -> log := "b" :: !log);
-  Sim.schedule sim ~at:1. (fun () -> log := "a" :: !log);
+  let names = [| "a"; "b" |] in
+  let h = Sim.register sim (fun a _ -> log := names.(a) :: !log) in
+  Sim.schedule_code sim ~at:2. ~handler:h ~a:1 ~b:0;
+  Sim.schedule_code sim ~at:1. ~handler:h ~a:0 ~b:0;
   Sim.run sim;
   Alcotest.(check (list string)) "execution order" [ "a"; "b" ] (List.rev !log);
   check_float "clock at last event" 2. (Sim.now sim)
 
+(* A handler that counts its calls and, while [again] holds,
+   reschedules itself one time unit later. *)
+let ticker sim ~again =
+  let count = ref 0 in
+  let h = ref (-1) in
+  h :=
+    Sim.register sim (fun _ _ ->
+        Stdlib.incr count;
+        if again !count then Sim.schedule_code_after sim ~delay:1. ~handler:!h ~a:0 ~b:0);
+  (!h, count)
+
 let test_sim_cascading () =
   let sim = Sim.create () in
-  let count = ref 0 in
-  let rec tick () =
-    Stdlib.incr count;
-    if !count < 5 then Sim.schedule_after sim ~delay:1. tick
-  in
-  Sim.schedule sim ~at:0. tick;
+  let h, count = ticker sim ~again:(fun n -> n < 5) in
+  Sim.schedule_code sim ~at:0. ~handler:h ~a:0 ~b:0;
   Sim.run sim;
   Alcotest.(check int) "cascade count" 5 !count;
   check_float "final clock" 4. (Sim.now sim)
 
 let test_sim_until () =
   let sim = Sim.create () in
-  let count = ref 0 in
-  let rec tick () =
-    Stdlib.incr count;
-    Sim.schedule_after sim ~delay:1. tick
-  in
-  Sim.schedule sim ~at:0. tick;
+  let h, count = ticker sim ~again:(fun _ -> true) in
+  Sim.schedule_code sim ~at:0. ~handler:h ~a:0 ~b:0;
   Sim.run ~until:3.5 sim;
   Alcotest.(check int) "only events <= until" 4 !count;
   check_float "clock advanced to until" 3.5 (Sim.now sim);
@@ -142,42 +147,49 @@ let test_sim_until () =
 
 let test_sim_past_rejected () =
   let sim = Sim.create () in
-  Sim.schedule sim ~at:5. (fun () -> ());
+  let h = Sim.register sim (fun _ _ -> ()) in
+  Sim.schedule_code sim ~at:5. ~handler:h ~a:0 ~b:0;
   Sim.run sim;
-  Alcotest.check_raises "past scheduling" (Invalid_argument "Sim.schedule: time in the past")
-    (fun () -> Sim.schedule sim ~at:1. (fun () -> ()))
+  Alcotest.check_raises "past scheduling"
+    (Invalid_argument "Sim.schedule: time in the past") (fun () ->
+      Sim.schedule_code sim ~at:1. ~handler:h ~a:0 ~b:0)
 
 (* ------------------------------------------------------------------ *)
 (* Measure                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A collector over [n] one-hop connections. *)
+let one_hop_measure n = Measure.create ~paths:(Array.make n [| 0 |])
+
 let test_measure_occupancy () =
-  let m = Measure.create () in
-  Measure.incr m ~key:(0, 0) ~now:0.;
-  Measure.incr m ~key:(0, 0) ~now:1.;
-  Measure.decr m ~key:(0, 0) ~now:3.;
+  let m = one_hop_measure 1 in
+  let slot = Measure.slot m ~conn:0 ~hop:0 in
+  Measure.incr m ~slot ~now:0.;
+  Measure.incr m ~slot ~now:1.;
+  Measure.decr m ~slot ~now:3.;
   (* Level 1 on [0,1), 2 on [1,3), 1 on [3,4): mean (1+4+1)/4 = 1.5. *)
-  check_float "time-weighted occupancy" 1.5 (Measure.mean_occupancy m ~key:(0, 0) ~now:4.);
-  Alcotest.(check int) "instantaneous" 1 (Measure.occupancy m ~key:(0, 0))
+  check_float "time-weighted occupancy" 1.5 (Measure.mean_occupancy m ~slot ~now:4.);
+  Alcotest.(check int) "instantaneous" 1 (Measure.occupancy m ~slot)
 
 let test_measure_reset () =
-  let m = Measure.create () in
-  Measure.incr m ~key:(0, 0) ~now:0.;
+  let m = one_hop_measure 1 in
+  let slot = Measure.slot m ~conn:0 ~hop:0 in
+  Measure.incr m ~slot ~now:0.;
   Measure.reset m ~now:10.;
   (* Level stays 1 across the reset; mean over the new window is 1. *)
-  check_float "post-reset mean" 1. (Measure.mean_occupancy m ~key:(0, 0) ~now:12.);
+  check_float "post-reset mean" 1. (Measure.mean_occupancy m ~slot ~now:12.);
   Measure.record_delay m ~conn:0 5.;
   Measure.reset m ~now:20.;
   Alcotest.(check int) "delays cleared" 0 (Measure.delay_count m ~conn:0)
 
 let test_measure_negative_occupancy () =
-  let m = Measure.create () in
+  let m = one_hop_measure 1 in
   Alcotest.check_raises "decr below zero"
     (Invalid_argument "Measure.decr: occupancy would go negative") (fun () ->
-      Measure.decr m ~key:(0, 0) ~now:0.)
+      Measure.decr m ~slot:(Measure.slot m ~conn:0 ~hop:0) ~now:0.)
 
 let test_measure_delays () =
-  let m = Measure.create () in
+  let m = one_hop_measure 10 in
   Measure.record_delay m ~conn:1 2.;
   Measure.record_delay m ~conn:1 4.;
   check_float "delay mean" 3. (Measure.delay_mean m ~conn:1);
@@ -185,7 +197,7 @@ let test_measure_delays () =
   check_float "unseen conn" 0. (Measure.delay_mean m ~conn:9)
 
 let test_measure_deliveries () =
-  let m = Measure.create () in
+  let m = one_hop_measure 4 in
   Measure.count_delivery m ~conn:0;
   Measure.count_delivery m ~conn:0;
   Alcotest.(check int) "two deliveries" 2 (Measure.deliveries m ~conn:0);

@@ -140,13 +140,13 @@ let test_triangular_order_detection () =
   | None -> Alcotest.fail "lower triangular not detected"
   | Some order ->
     check_true "order triangularizes"
-      (Mat.is_lower_triangular (Mat.permute_rows_cols lower order)));
+      (is_lower_triangular (Mat.permute_rows_cols lower order)));
   let upper = Mat.of_arrays [| [| 1.; 4. |]; [| 0.; 2. |] |] in
   (match Eigen.triangular_order (sp upper) with
   | None -> Alcotest.fail "upper triangular not detected"
   | Some order ->
     check_true "reversal triangularizes"
-      (Mat.is_lower_triangular (Mat.permute_rows_cols upper order)));
+      (is_lower_triangular (Mat.permute_rows_cols upper order)));
   let dense = Mat.of_arrays [| [| 1.; 4. |]; [| 5.; 2. |] |] in
   check_true "dense rejected" (Eigen.triangular_order (sp dense) = None);
   (* Default detection is exact-zero; a tolerance widens it. *)

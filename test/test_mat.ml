@@ -74,9 +74,9 @@ let test_triangular_predicates () =
   let lower = m22 1. 0. 5. 2. in
   let upper = m22 1. 5. 0. 2. in
   let full = m22 1. 5. 5. 2. in
-  check_true "lower detected" (Mat.is_lower_triangular lower);
-  check_false "upper is not lower" (Mat.is_lower_triangular upper);
-  check_false "full is not lower" (Mat.is_lower_triangular full)
+  check_true "lower detected" (is_lower_triangular lower);
+  check_false "upper is not lower" (is_lower_triangular upper);
+  check_false "full is not lower" (is_lower_triangular full)
 
 let test_permute () =
   let m = m22 1. 2. 3. 4. in

@@ -1,7 +1,6 @@
 (* The sparse structure-aware Jacobian machinery: CSR matrices and the
-   zero-dimension contract, the Sherman-Morrison rank-1 solve, the
-   route-incidence pattern and its probe groups, grouped finite
-   differences against the lone-column oracle ([Fd_oracle], bit for
+   zero-dimension contract, the route-incidence pattern and its probe
+   groups, grouped finite differences against the lone-column oracle ([Fd_oracle], bit for
    bit, at every jobs count and in every mode), incremental churn
    updates against from-scratch rebuilds, the finite-difference
    domain-guard regression, struct_tol threading, and warm-cache replay
@@ -118,38 +117,6 @@ let test_zero_dim_contract () =
   check_true "of_dense on 0x4" (Mat.Sparse.cols e = 4);
   check_true "to_dense round-trips shape"
     (Mat.rows (Mat.Sparse.to_dense e) = 0 && Mat.cols (Mat.Sparse.to_dense e) = 4)
-
-let test_solve_rank1 () =
-  let rng = Rng.create 41 in
-  for trial = 1 to 10 do
-    let n = 2 + Rng.int rng 5 in
-    (* Diagonally dominant base keeps both solves well conditioned. *)
-    let a =
-      Mat.init n n (fun i j ->
-          (if i = j then 4. else 0.) +. Rng.range rng (-0.5) 0.5)
-    in
-    let u = Array.init n (fun _ -> Rng.range rng (-1.) 1.) in
-    let v = Array.init n (fun _ -> Rng.range rng (-1.) 1.) in
-    let b = Array.init n (fun _ -> Rng.range rng (-1.) 1.) in
-    let perturbed =
-      Mat.init n n (fun i j -> Mat.get a i j +. (u.(i) *. v.(j)))
-    in
-    match (Mat.solve_rank1 a ~u ~v b, Mat.solve perturbed b) with
-    | Some x, Some y ->
-      check_vec ~tol:1e-8
-        (Printf.sprintf "trial %d: Sherman-Morrison = direct solve" trial)
-        y x
-    | _ -> Alcotest.failf "trial %d: both solves should succeed" trial
-  done;
-  (* Singular base matrix. *)
-  check_true "singular base -> None"
-    (Mat.solve_rank1 (Mat.create 2 2) ~u:[| 1.; 0. |] ~v:[| 1.; 0. |]
-       [| 1.; 1. |]
-    = None);
-  (* Update that makes the system singular: 1 + v^T A^-1 u = 0. *)
-  let id = Mat.init 2 2 (fun i j -> if i = j then 1. else 0.) in
-  check_true "singular update -> None"
-    (Mat.solve_rank1 id ~u:[| -1.; 0. |] ~v:[| 1.; 0. |] [| 1.; 1. |] = None)
 
 (* ------------------------------------------------------------------ *)
 (* Finite-difference domain guard (the bugfix)                         *)
@@ -620,7 +587,6 @@ let suites =
         case "CSR accessors" test_sparse_accessors;
         case "of_dense nonzeros" test_sparse_of_dense_nonzeros;
         case "zero-dimension contract" test_zero_dim_contract;
-        case "Sherman-Morrison rank-1 solve" test_solve_rank1;
         case "sparse eigensolvers + deflation" test_eigen_sparse;
       ] );
     ( "core.sparse_jacobian",

@@ -19,6 +19,18 @@ let check_vec ?(tol = 1e-9) msg expected actual =
         Alcotest.failf "%s: component %d: expected %.12g, got %.12g" msg i e actual.(i))
     expected
 
+(* Oracle for Theorem 4's triangular stability matrix: every entry
+   strictly above the diagonal is at most [tol] in absolute value. *)
+let is_lower_triangular ?(tol = 1e-9) m =
+  let open Ffc_numerics in
+  let ok = ref true in
+  for i = 0 to Mat.rows m - 1 do
+    for j = i + 1 to Mat.cols m - 1 do
+      if Float.abs (Mat.get m i j) > tol then ok := false
+    done
+  done;
+  !ok
+
 let check_true msg cond = Alcotest.(check bool) msg true cond
 let check_false msg cond = Alcotest.(check bool) msg false cond
 
